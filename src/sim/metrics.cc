@@ -1,5 +1,7 @@
 #include "sim/metrics.h"
 
+#include <cstring>
+
 #include "common/logging.h"
 
 namespace mtshare {
@@ -122,6 +124,44 @@ double Metrics::MeanFareSaving() const {
     }
   }
   return s.Mean();
+}
+
+namespace {
+
+class Fnv1a {
+ public:
+  void Bytes(uint64_t value, int width) {
+    for (int i = 0; i < width; ++i) {
+      hash_ ^= (value >> (8 * i)) & 0xFF;
+      hash_ *= 1099511628211ull;
+    }
+  }
+  void Double(double value) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    Bytes(bits, 8);
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 1469598103934665603ull;
+};
+
+}  // namespace
+
+uint64_t DecisionDigest(const Metrics& m) {
+  Fnv1a h;
+  for (const RequestRecord& r : m.records()) {
+    h.Bytes(r.assigned ? 1 : 0, 1);
+    h.Bytes(r.completed ? 1 : 0, 1);
+    h.Bytes(static_cast<uint32_t>(r.taxi), 4);
+    h.Bytes(static_cast<uint32_t>(r.candidates), 4);
+    h.Double(r.pickup_time);
+    h.Double(r.dropoff_time);
+    h.Double(r.regular_fare);
+    h.Double(r.shared_fare);
+  }
+  return h.value();
 }
 
 }  // namespace mtshare
