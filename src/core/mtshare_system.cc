@@ -129,35 +129,9 @@ MTShareSystem::MTShareSystem(const RoadNetwork& network,
   oracle_ = std::make_unique<DistanceOracle>(network, config.oracle);
 }
 
-DistanceOracle* MTShareSystem::OracleFor(OracleBackend backend) {
-  if (backend == OracleBackend::kAuto || backend == oracle_->backend()) {
-    return oracle_.get();
-  }
-  std::lock_guard<std::mutex> lock(extra_oracle_mutex_);
-  std::unique_ptr<DistanceOracle>& slot =
-      extra_oracles_[static_cast<size_t>(backend)];
-  if (slot == nullptr) {
-    OracleOptions opts = config_.oracle;
-    opts.backend = backend;
-    slot = std::make_unique<DistanceOracle>(network_, opts);
-  }
-  return slot.get();
-}
-
-const ContractionHierarchy* MTShareSystem::BucketSearchCh(
-    DistanceOracle* oracle) {
-  if (oracle != nullptr && oracle->ch() != nullptr) return oracle->ch();
-  std::lock_guard<std::mutex> lock(extra_oracle_mutex_);
-  if (bucket_ch_ == nullptr) {
-    bucket_ch_ = std::make_unique<ContractionHierarchy>(
-        ContractionHierarchy::Build(network_, config_.oracle.ch));
-  }
-  return bucket_ch_.get();
-}
-
 std::unique_ptr<Dispatcher> MTShareSystem::MakeDispatcher(
-    SchemeKind scheme, std::vector<TaxiState>* fleet, DistanceOracle* oracle) {
-  if (oracle == nullptr) oracle = oracle_.get();
+    SchemeKind scheme, std::vector<TaxiState>* fleet) {
+  DistanceOracle* oracle = oracle_.get();
   MatchingConfig mc = config_.matching;
   std::unique_ptr<Dispatcher> d;
   switch (scheme) {
@@ -191,9 +165,10 @@ std::unique_ptr<Dispatcher> MTShareSystem::MakeDispatcher(
       break;
   }
   MTSHARE_CHECK(d != nullptr);
-  if (mc.candidate_search == CandidateSearch::kChBuckets) {
-    d->EnableChBucketSearch(BucketSearchCh(oracle));
-  }
+  // Buckets sweep the oracle's own hierarchy, so they run exactly when the
+  // backend is a CH (DESIGN.md §14). On the exact table the index scan is
+  // no slower, and a second hierarchy only for the buckets would not pay.
+  d->EnableChBucketSearch(oracle->ch());
   return d;
 }
 
@@ -216,9 +191,8 @@ Result<Metrics> MTShareSystem::RunScenario(const ScenarioSpec& spec) {
   std::vector<TaxiState> fleet =
       MakeFleet(network_, spec.num_taxis, config_.taxi_capacity,
                 spec.fleet_seed, start_time);
-  DistanceOracle* oracle = OracleFor(spec.oracle_backend);
-  std::unique_ptr<Dispatcher> dispatcher =
-      MakeDispatcher(spec.scheme, &fleet, oracle);
+  DistanceOracle* oracle = oracle_.get();
+  std::unique_ptr<Dispatcher> dispatcher = MakeDispatcher(spec.scheme, &fleet);
   dispatcher->EnablePhaseTiming(spec.collect_phase_timing);
 
   // One pool per run: startup is microseconds against multi-second runs,
@@ -233,7 +207,6 @@ Result<Metrics> MTShareSystem::RunScenario(const ScenarioSpec& spec) {
 
   EngineOptions eopts;
   eopts.serve_offline = spec.serve_offline;
-  eopts.event_driven = spec.event_driven;
   eopts.batch_window_ms = spec.batch_window_ms;
   eopts.max_queue = spec.max_queue;
   eopts.on_decision = spec.on_decision;

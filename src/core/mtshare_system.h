@@ -1,10 +1,8 @@
 #ifndef MTSHARE_CORE_MTSHARE_SYSTEM_H_
 #define MTSHARE_CORE_MTSHARE_SYSTEM_H_
 
-#include <array>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -72,11 +70,6 @@ struct ScenarioSpec {
   uint64_t fleet_seed = 1;
   /// Enables offline-request encounters (street hails, Sec. IV-C2).
   bool serve_offline = true;
-  /// Advance the fleet with the event-driven core (min-heap of per-taxi
-  /// next-arc times) instead of the legacy per-boundary sweep. Decision
-  /// metrics are identical either way; false selects the sweep for
-  /// equivalence testing and perf comparison.
-  bool event_driven = true;
   /// Worker threads for candidate-schedule evaluation. 1 = sequential;
   /// results are bit-identical for every value (deterministic reduction).
   /// 0 = hardware concurrency.
@@ -85,13 +78,6 @@ struct ScenarioSpec {
   /// surfaced in run reports). A handful of steady_clock reads per
   /// dispatch; set false to shave even that from latency-critical runs.
   bool collect_phase_timing = true;
-
-  /// Distance-oracle backend for this run. kAuto uses the system's default
-  /// oracle (built from SystemConfig::oracle); any other value selects a
-  /// per-backend oracle the system builds lazily on first use and then
-  /// shares across runs (backend comparison sweeps pay CH preprocessing
-  /// once, not per run).
-  OracleBackend oracle_backend = OracleBackend::kAuto;
 
   /// OK, or the first violated constraint.
   Status Validate() const;
@@ -135,23 +121,11 @@ class MTShareSystem {
   /// spec.requests produces byte-identical decision metrics.
   Result<Metrics> RunScenario(const ScenarioSpec& spec);
 
-  /// Creates a dispatcher bound to `fleet` (advanced use: custom engines).
-  /// `oracle` = nullptr uses the system's default oracle.
+  /// Creates a dispatcher on the system's oracle, bound to `fleet`
+  /// (advanced use: custom engines). Bucket candidate search is armed
+  /// exactly when the oracle runs on a contraction hierarchy.
   std::unique_ptr<Dispatcher> MakeDispatcher(SchemeKind scheme,
-                                             std::vector<TaxiState>* fleet,
-                                             DistanceOracle* oracle = nullptr);
-
-  /// The oracle serving `backend` (kAuto = the system default). Non-default
-  /// backends are built lazily on first use and cached; safe to call from
-  /// concurrent RunScenario invocations.
-  DistanceOracle* OracleFor(OracleBackend backend);
-
-  /// The contraction hierarchy backing the ch_buckets candidate path for
-  /// runs on `oracle`: the oracle's own CH when it is CH-backed, otherwise
-  /// a system-owned hierarchy built lazily on first use and shared across
-  /// runs (same lifetime as the lazy per-backend oracles). Safe to call
-  /// from concurrent RunScenario invocations.
-  const ContractionHierarchy* BucketSearchCh(DistanceOracle* oracle);
+                                             std::vector<TaxiState>* fleet);
 
   const RoadNetwork& network() const { return network_; }
   const MapPartitioning& partitioning() const { return partitioning_; }
@@ -180,15 +154,6 @@ class MTShareSystem {
   std::unique_ptr<LandmarkGraph> landmarks_;
   TransitionModel transitions_;
   std::unique_ptr<DistanceOracle> oracle_;
-
-  /// Lazily built per-backend oracles for ScenarioSpec::oracle_backend
-  /// overrides, indexed by OracleBackend value; creation serializes behind
-  /// the mutex so concurrent runs race safely.
-  std::mutex extra_oracle_mutex_;
-  std::array<std::unique_ptr<DistanceOracle>, 4> extra_oracles_;
-  /// Lazily built CH for ch_buckets candidate search when the run's oracle
-  /// is not CH-backed (exact/LRU backends); guarded by extra_oracle_mutex_.
-  std::unique_ptr<ContractionHierarchy> bucket_ch_;
 };
 
 }  // namespace mtshare

@@ -6,28 +6,6 @@
 
 namespace mtshare {
 
-const char* CandidateSearchName(CandidateSearch mode) {
-  switch (mode) {
-    case CandidateSearch::kIndex:
-      return "index";
-    case CandidateSearch::kChBuckets:
-      return "ch_buckets";
-  }
-  return "index";
-}
-
-bool ParseCandidateSearch(std::string_view name, CandidateSearch* out) {
-  if (name == "index") {
-    *out = CandidateSearch::kIndex;
-    return true;
-  }
-  if (name == "ch_buckets") {
-    *out = CandidateSearch::kChBuckets;
-    return true;
-  }
-  return false;
-}
-
 Dispatcher::Dispatcher(const RoadNetwork& network, DistanceOracle* oracle,
                        std::vector<TaxiState>* fleet,
                        const MatchingConfig& config)
@@ -237,7 +215,7 @@ Dispatcher::CandidateEval Dispatcher::EvaluateCandidates(
   std::vector<uint8_t>& skip = eval_skip_;
   const bool ellipse = EllipseScreenEnabled();
   if (ellipse) {
-    // ch_buckets path: the detour-ellipse screen subsumes the lower-bound
+    // Bucket path: the detour-ellipse screen subsumes the lower-bound
     // pickup prune (its P1 at slot 0 is the same test) and additionally
     // masks provably infeasible insertion slots out of the DP. Fully
     // pruned candidates are skipped outright and never registered with
@@ -258,19 +236,14 @@ Dispatcher::CandidateEval Dispatcher::EvaluateCandidates(
       }
     }
   }
-  LegCostFn cost;
-  if (config_.batched_routing) {
-    // Prime every leg the insertion walks can request with one-to-many
-    // passes, sequentially; workers then read the immutable table.
-    batch_.Begin(request.origin, request.destination);
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (!skip[i]) RegisterCandidateStops(taxi(candidates[i]));
-    }
-    batch_.Prime();
-    cost = BatchedCost();
-  } else {
-    cost = OracleCost();
+  // Prime every leg the insertion walks can request with one-to-many
+  // passes, sequentially; workers then read the immutable table.
+  batch_.Begin(request.origin, request.destination);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (!skip[i]) RegisterCandidateStops(taxi(candidates[i]));
   }
+  batch_.Prime();
+  const LegCostFn cost = BatchedCost();
   auto evaluate = [&](size_t i) {
     if (skip[i]) {
       results[i].found = false;  // slot may hold a previous request's result

@@ -21,26 +21,6 @@
 
 namespace mtshare {
 
-/// Which candidate-search path discovers pickup-reachable taxis
-/// (DESIGN.md §14). kIndex is each scheme's native structural scan with a
-/// per-taxi exact reachability probe; kChBuckets answers every probe of a
-/// dispatch with one backward CH sweep over last-stop bucket entries
-/// (LastStopBuckets) and screens insertion slots with detour-ellipse
-/// landmark bounds before exact routing. Dispatch decisions are
-/// bit-identical either way — both paths keep the same structural
-/// candidate set and order, and only replace provably-outcome-free work.
-enum class CandidateSearch {
-  kIndex = 0,
-  kChBuckets,
-};
-
-/// Lower-case stable name ("index", "ch_buckets").
-const char* CandidateSearchName(CandidateSearch mode);
-
-/// Parses a path name (as accepted by mtshare_sim --candidates=). Returns
-/// false on unknown names, leaving *out untouched.
-bool ParseCandidateSearch(std::string_view name, CandidateSearch* out);
-
 /// Parameters shared by all matching schemes (paper Table II).
 struct MatchingConfig {
   /// Cap on the candidate searching range gamma (Table II default 2.5 km,
@@ -73,15 +53,6 @@ struct MatchingConfig {
   bool match_all_compatible_clusters = true;
   /// Grid pitch of the baselines' spatial taxi index.
   double grid_cell_m = 500.0;
-  /// When true (default), insertion evaluation primes an InsertionCostBatch
-  /// (one-to-many row passes / truncated sweeps) instead of issuing one
-  /// oracle query per leg per candidate. Results are bit-identical either
-  /// way; the toggle exists for the equivalence test and A/B benches.
-  bool batched_routing = true;
-  /// Candidate-search path (see CandidateSearch). kChBuckets needs a
-  /// contraction hierarchy; MTShareSystem arms it via
-  /// Dispatcher::EnableChBucketSearch.
-  CandidateSearch candidate_search = CandidateSearch::kIndex;
 };
 
 /// Brings a taxi's simulated state up to `now` before it is read. The
@@ -253,11 +224,19 @@ class Dispatcher {
     lb_landmarks_ = landmarks;
   }
 
-  /// Arms the ch_buckets candidate path on `ch` (must outlive the
-  /// dispatcher; null disarms). Construction marks every taxi dirty, so
-  /// the first sweep deposits the whole fleet. The schemes consult
-  /// ChBucketSearchEnabled() to route their reachability probes through
-  /// BucketSweep/BucketDistance instead of per-taxi oracle queries.
+  /// Arms the bucket candidate path (DESIGN.md §14) on `ch` (must outlive
+  /// the dispatcher; null disarms). MTShareSystem arms it exactly when the
+  /// oracle runs on a contraction hierarchy; without one each scheme scans
+  /// its own index with a per-taxi exact reachability probe. The bucket
+  /// path answers every probe of a dispatch with one backward CH sweep over
+  /// last-stop bucket entries (LastStopBuckets) and screens insertion slots
+  /// with detour-ellipse landmark bounds before exact routing. Decisions
+  /// are bit-identical either way: both paths keep the same structural
+  /// candidate set and order and only skip provably outcome-free work.
+  /// Construction marks every taxi dirty, so the first sweep deposits the
+  /// whole fleet. The schemes consult ChBucketSearchEnabled() to route
+  /// their reachability probes through BucketSweep/BucketDistance instead
+  /// of per-taxi oracle queries.
   void EnableChBucketSearch(const ContractionHierarchy* ch);
   bool ChBucketSearchEnabled() const { return buckets_ != nullptr; }
   /// The bucket store (null unless enabled) — test/diagnostic access.
@@ -266,7 +245,6 @@ class Dispatcher {
   /// Batched-routing counters for Metrics / the run report.
   BatchRoutingStats routing_stats() const {
     BatchRoutingStats s = batch_.stats();
-    s.batched = config_.batched_routing;
     s.lb_pruned = lb_pruned_;
     s.bucket_search = buckets_ != nullptr;
     if (buckets_ != nullptr) {
@@ -293,7 +271,8 @@ class Dispatcher {
   };
   CandidateEval EvaluateCandidates(const std::vector<TaxiId>& candidates,
                                    const RideRequest& request, Seconds now);
-  /// Oracle-backed leg cost function (the O(1) shortest-path assumption).
+  /// Oracle-backed leg cost function (the O(1) shortest-path assumption),
+  /// for one-off insertions outside a primed batch.
   LegCostFn OracleCost();
   /// Leg costs served from the primed batch table (fallback: oracle).
   LegCostFn BatchedCost();
@@ -308,7 +287,7 @@ class Dispatcher {
                               Seconds now);
   static constexpr Seconds kLbSlack = 1e-6;
 
-  /// ch_buckets path: one backward CH sweep from `origin` discovers every
+  /// Bucket path: one backward CH sweep from `origin` discovers every
   /// taxi whose current location reaches it within `budget` seconds
   /// (typically pickup_deadline - now). Flushes dirty bucket entries first
   /// (that is where maintenance time is paid), so the distances reflect
@@ -361,7 +340,7 @@ class Dispatcher {
   /// Landmark lower bounds for candidate pruning (null = disabled).
   const LandmarkGraph* lb_landmarks_ = nullptr;
   int64_t lb_pruned_ = 0;
-  /// Last-stop bucket store of the ch_buckets path (null = index path).
+  /// Last-stop bucket store of the bucket path (null = index path).
   std::unique_ptr<LastStopBuckets> buckets_;
   /// Detour-ellipse screen counters (run-report routing section).
   int64_t slots_screened_ = 0;

@@ -117,7 +117,7 @@ void MtShareTaxiIndex::OnTaxiMoved(const TaxiState& taxi, Seconds now) {
 void MtShareTaxiIndex::OnTaxiAdvanced(const TaxiState& taxi, size_t from_pos,
                                       size_t to_pos) {
   if (taxi.Idle()) {
-    // The per-arc sweep reindexes an idle taxi at every step, but each
+    // Per-arc updates would reindex an idle taxi at every step, but each
     // reindex rebuilds the partition entries wholesale and the clustering
     // Remove is idempotent — only the final one survives.
     Seconds now = to_pos < taxi.route.size() ? taxi.route.time(to_pos)

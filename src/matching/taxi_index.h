@@ -38,9 +38,9 @@ class MtShareTaxiIndex {
   /// reindex; moves within a partition stay O(1).
   void OnTaxiMoved(const TaxiState& taxi, Seconds now);
 
-  /// Batched form of OnTaxiMoved for the event-driven engine: the taxi
-  /// advanced from route position `from_pos` through `to_pos`. Replays the
-  /// per-arc sweep exactly — for busy taxis every partition crossing
+  /// Batched form of OnTaxiMoved for the engine: the taxi advanced from
+  /// route position `from_pos` through `to_pos`. Replays one OnTaxiMoved
+  /// per arc exactly — for busy taxis every partition crossing
   /// triggers a reindex *as of that position* (location, arrival horizon,
   /// and mobility vector evaluated at the crossing, so the clustering's
   /// floating-point fold sees the identical Assign sequence); idle taxis

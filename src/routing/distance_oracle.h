@@ -68,7 +68,7 @@ struct OracleOptions {
 /// (Sec. IV-C). Three backends — exact dense table, LRU-cached Dijkstra
 /// rows, contraction hierarchy — all bit-identical in the costs they
 /// return (arc costs are dyadic, see QuantizeTravelCost). Costs only —
-/// use DijkstraSearch/AStarSearch when the vertex sequence is needed.
+/// use DijkstraSearch when the vertex sequence is needed.
 ///
 /// Thread-safe: the parallel matching engine issues Cost() queries from
 /// every pool worker concurrently. Exact mode fills each row exactly once
@@ -181,7 +181,6 @@ class DistanceOracle {
   std::vector<std::unique_ptr<ChQuery>> ch_pool_;
   ChQueryStats ch_stats_total_;
   size_t ch_engines_created_ = 0;
-  size_t ch_engine_bytes_max_ = 0;
 
   std::atomic<int64_t> queries_{0};
   std::atomic<int64_t> batch_queries_{0};

@@ -15,8 +15,6 @@ namespace mtshare {
 /// Counters of the batched insertion-routing layer, harvested into Metrics
 /// and the run report ("routing" section).
 struct BatchRoutingStats {
-  /// Whether the dispatcher ran with batched routing armed.
-  bool batched = false;
   /// CostMany row passes issued while priming insertion batches.
   int64_t batch_queries = 0;
   /// Vertices settled by truncated one-to-many sweeps (LRU-mode oracles
@@ -49,7 +47,8 @@ struct BatchRoutingStats {
   int64_t ch_bucket_entries = 0;
 
   // --- candidate-search path (DESIGN.md §14; zero on the index path) ---
-  /// Whether the dispatcher ran with the ch_buckets candidate path.
+  /// Whether the dispatcher ran with the bucket candidate path (armed
+  /// exactly when the oracle runs on a contraction hierarchy).
   bool bucket_search = false;
   /// Taxis returned by last-stop bucket sweeps (pre exact-deadline
   /// re-check).

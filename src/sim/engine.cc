@@ -39,7 +39,6 @@ Metrics SimulationEngine::Run(const std::vector<RideRequest>& requests) {
 Metrics SimulationEngine::Run(RequestSource& source) {
   WallTimer run_timer;
   metrics_ = Metrics();
-  metrics_.engine.event_driven = options_.event_driven;
   metrics_.serve.batch_window_ms = std::max(0.0, options_.batch_window_ms);
   requests_.clear();
   waiting_offline_.clear();
@@ -48,14 +47,12 @@ Metrics SimulationEngine::Run(RequestSource& source) {
   deferred_pending_ = false;
   last_deferred_ = 0.0;
   last_release_ = 0.0;
-  if (options_.event_driven) {
-    heap_ = {};
-    taxi_gen_.assign(fleet_->size(), 0);
-    idle_routeless_.clear();
-    for (TaxiState& taxi : *fleet_) {
-      RearmTaxi(taxi);
-      UpdateIdleSet(taxi);
-    }
+  heap_ = {};
+  taxi_gen_.assign(fleet_->size(), 0);
+  idle_routeless_.clear();
+  for (TaxiState& taxi : *fleet_) {
+    RearmTaxi(taxi);
+    UpdateIdleSet(taxi);
   }
 
   const Seconds window = metrics_.serve.batch_window_ms / 1000.0;
@@ -231,16 +228,14 @@ void SimulationEngine::DispatchOne(const RideRequest& r, Seconds now) {
     dispatcher_->OnScheduleCommitted(outcome.taxi);
     dispatcher_->OnScheduleChanged(outcome.taxi);
     NoteCommit(taxi);
-    if (options_.event_driven) {
-      RearmTaxi(taxi);
-      UpdateIdleSet(taxi);
-    }
+    RearmTaxi(taxi);
+    UpdateIdleSet(taxi);
   }
   if (options_.on_decision) options_.on_decision(r, metrics_.record(r.id));
 }
 
 bool SimulationEngine::CanDeferBoundary(const RideRequest& r) const {
-  if (!options_.event_driven || !r.offline) return false;
+  if (!r.offline) return false;
   // Deferring is only sound when the boundary has no observable effect:
   // the request is never registered as a hailer, no hailer is waiting to
   // be encountered, no cruise offers would be made, and the scheme's
@@ -256,14 +251,6 @@ bool SimulationEngine::CanDeferBoundary(const RideRequest& r) const {
   return true;
 }
 
-void SimulationEngine::Advance(Seconds now) {
-  if (options_.event_driven) {
-    AdvanceTo(now);
-  } else {
-    AdvanceAll(now);
-  }
-}
-
 void SimulationEngine::SyncTaxi(TaxiId id, Seconds now) {
   if (id == advancing_) return;  // re-entrant: already mid-advance
   TaxiState& taxi = (*fleet_)[id];
@@ -272,37 +259,13 @@ void SimulationEngine::SyncTaxi(TaxiId id, Seconds now) {
   }
   ++metrics_.engine.lazy_syncs;
   advancing_ = id;
-  if (options_.event_driven) {
-    AdvanceTaxiEvent(taxi, now);
-  } else {
-    AdvanceTaxi(taxi, now);
-  }
+  AdvanceTaxi(taxi, now);
   advancing_ = kInvalidTaxi;
-  if (options_.event_driven) {
-    RearmTaxi(taxi);
-    UpdateIdleSet(taxi);
-  }
+  RearmTaxi(taxi);
+  UpdateIdleSet(taxi);
 }
 
-void SimulationEngine::AdvanceAll(Seconds now) {
-  for (TaxiState& taxi : *fleet_) {
-    advancing_ = taxi.id;
-    AdvanceTaxi(taxi, now);
-    advancing_ = kInvalidTaxi;
-    if (options_.serve_offline && taxi.Idle() && !taxi.HasRoute()) {
-      // Offer the idle taxi a cruise (mT-Share-pro steers empty taxis
-      // toward offline demand; other schemes park them).
-      RoutePlanner::PlannedRoute cruise =
-          dispatcher_->PlanIdleCruise(taxi.id, now);
-      if (cruise.valid && cruise.path.vertices.size() > 1) {
-        ApplyPlan(&taxi, network_, Schedule(), cruise.path.vertices, {}, now,
-                  /*probabilistic_route=*/true);
-      }
-    }
-  }
-}
-
-void SimulationEngine::AdvanceTo(Seconds now) {
+void SimulationEngine::Advance(Seconds now) {
   due_.clear();
   while (!heap_.empty() && heap_.top().time <= now) {
     PendingArc top = heap_.top();
@@ -311,22 +274,21 @@ void SimulationEngine::AdvanceTo(Seconds now) {
     if (top.gen != taxi_gen_[top.taxi]) continue;  // stale entry
     due_.push_back(top.taxi);
   }
-  // Advance in taxi-id order, each taxi fully, replaying the sweep's
-  // deterministic iteration (offline encounters resolve by lowest id).
+  // Advance in taxi-id order, each taxi fully (offline encounters resolve
+  // by lowest id).
   std::sort(due_.begin(), due_.end());
   for (TaxiId id : due_) {
     TaxiState& taxi = (*fleet_)[id];
     advancing_ = id;
-    AdvanceTaxiEvent(taxi, now);
+    AdvanceTaxi(taxi, now);
     advancing_ = kInvalidTaxi;
     RearmTaxi(taxi);
     UpdateIdleSet(taxi);
   }
   if (options_.serve_offline && dispatcher_->IdleCruisingEnabled()) {
-    // Cruise offers go to every idle routeless taxi in id order — the same
-    // set and order the sweep visits, so the sampler's rng stream and the
-    // per-taxi rate limiter behave identically. Offers mutate the set
-    // (ApplyPlan), so iterate a snapshot.
+    // Cruise offers go to every idle routeless taxi in id order, which
+    // fixes the sampler's rng stream and the per-taxi rate limiter. Offers
+    // mutate the set (ApplyPlan), so iterate a snapshot.
     offer_buf_.assign(idle_routeless_.begin(), idle_routeless_.end());
     for (TaxiId id : offer_buf_) {
       TaxiState& taxi = (*fleet_)[id];
@@ -358,29 +320,12 @@ void SimulationEngine::StepArc(TaxiState& taxi) {
 }
 
 void SimulationEngine::AdvanceTaxi(TaxiState& taxi, Seconds now) {
-  while (taxi.route_pos + 1 < taxi.route.size() &&
-         taxi.route.time(taxi.route_pos + 1) <= now) {
-    StepArc(taxi);
-    bool had_events = !taxi.schedule.empty();
-    ExecuteDueEvents(taxi);
-    dispatcher_->OnTaxiMoved(taxi.id);
-    dispatcher_->OnScheduleChanged(taxi.id);
-    if (had_events && taxi.schedule.empty()) {
-      // Route drained to idle; let the scheme refresh its indexes.
-      dispatcher_->OnScheduleCommitted(taxi.id);
-    }
-    CheckOfflineEncounters(taxi, taxi.location_time);
-  }
-}
-
-void SimulationEngine::AdvanceTaxiEvent(TaxiState& taxi, Seconds now) {
-  // Identical arc walk to AdvanceTaxi, but movement notifications are
-  // batched into spans: one OnTaxiAdvanced per uninterrupted stretch of
-  // arcs. Spans split exactly where the per-arc sweep interleaves other
-  // work — at schedule events (the index must observe the pre-event
-  // schedule for earlier arcs and the post-event schedule at the event
-  // arc) and at encounter probes (the probe must observe up-to-date
-  // indexes).
+  // Movement notifications are batched into spans: one OnTaxiAdvanced per
+  // uninterrupted stretch of arcs. Spans split where a per-arc walk would
+  // interleave other work — at schedule events (the index must observe
+  // the pre-event schedule for earlier arcs and the post-event schedule at
+  // the event arc) and at encounter probes (the probe must observe
+  // up-to-date indexes).
   size_t batch_start = taxi.route_pos;
   while (taxi.route_pos + 1 < taxi.route.size() &&
          taxi.route.time(taxi.route_pos + 1) <= now) {
@@ -401,8 +346,7 @@ void SimulationEngine::AdvanceTaxiEvent(TaxiState& taxi, Seconds now) {
         dispatcher_->OnTaxiAdvanced(taxi.id, batch_start, taxi.route_pos - 1);
       }
       ExecuteDueEvents(taxi);
-      // The event arc itself, under the post-event schedule — this is the
-      // OnTaxiMoved the sweep issues right after executing the events.
+      // The event arc itself, under the post-event schedule.
       dispatcher_->OnTaxiAdvanced(taxi.id, taxi.route_pos - 1, taxi.route_pos);
       if (taxi.schedule.empty()) {
         dispatcher_->OnScheduleCommitted(taxi.id);

@@ -25,11 +25,6 @@ struct EngineOptions {
   /// distance of the taxi's current vertex (vertex-exact would require the
   /// taxi to drive over the exact corner the passenger stands on).
   double encounter_radius_m = 200.0;
-  /// Advance the fleet through a min-heap of per-taxi next-arc times (only
-  /// taxis with movement due are touched) instead of sweeping every taxi at
-  /// every request boundary. Decision-identical to the sweep; kept
-  /// switchable so the equivalence is testable.
-  bool event_driven = true;
   /// Batch-window ingest discipline Δt, simulated milliseconds (DESIGN.md
   /// §12): arrivals are collected from the first pending release for Δt and
   /// dispatched together when the window closes. <= 0 dispatches each
@@ -56,13 +51,11 @@ struct EngineOptions {
 /// vertex while they wait. Single-threaded by design (response-time
 /// measurements stay clean).
 ///
-/// Two advancement cores share all event/encounter/settlement logic:
-///  - the legacy *sweep* walks the whole fleet at every request boundary;
-///  - the *event-driven* core (default) keeps a min-heap of each taxi's
-///    next route-arc arrival and pops only the taxis with movement due,
-///    batching their index updates per advancement span. The engine also
-///    implements the dispatcher's FleetSync hook so matching code can
-///    materialize a taxi's state on demand before reading it.
+/// The fleet advances through a min-heap of each taxi's next route-arc
+/// arrival: a request boundary pops only the taxis with movement due and
+/// batches their index updates per advancement span. The engine also
+/// implements the dispatcher's FleetSync hook so matching code can
+/// materialize a taxi's state on demand before reading it.
 class SimulationEngine : public FleetSync {
  public:
   /// `fleet` is owned by the caller (the dispatcher reads it); the engine
@@ -106,18 +99,15 @@ class SimulationEngine : public FleetSync {
     }
   };
 
-  /// Advances the fleet to `now` with the configured core.
+  /// Advances the fleet to `now`: pops due heap entries, advances those
+  /// taxis (id order, each fully), then offers cruises to the idle
+  /// routeless set.
   void Advance(Seconds now);
-  /// Legacy sweep: every taxi stepped, idle taxis offered cruises.
-  void AdvanceAll(Seconds now);
-  /// Event core: pops due heap entries, advances those taxis (id order,
-  /// each fully), then offers cruises to the idle routeless set.
-  void AdvanceTo(Seconds now);
+  /// Walks one taxi's route up to `now`, batching dispatcher index updates
+  /// per advancement span and splitting batches at schedule events and
+  /// encounter probes so order-sensitive indexes observe the exact per-arc
+  /// sequence.
   void AdvanceTaxi(TaxiState& taxi, Seconds now);
-  /// Like AdvanceTaxi but batches dispatcher index updates per advancement
-  /// span, splitting batches at schedule events and encounter probes so
-  /// order-sensitive indexes observe the exact per-arc sequence.
-  void AdvanceTaxiEvent(TaxiState& taxi, Seconds now);
   /// Moves the taxi across its next route arc (odometer + position).
   void StepArc(TaxiState& taxi);
   /// Refreshes the heap entry for a taxi whose route/position changed.
@@ -168,13 +158,13 @@ class SimulationEngine : public FleetSync {
   /// Vertex snapping index for encounter-radius registration.
   std::unique_ptr<GridIndex> snap_;
 
-  // --- event-driven core state ---
+  // --- advancement state ---
   std::priority_queue<PendingArc, std::vector<PendingArc>, PendingArcLater>
       heap_;
   /// Per-taxi generation counters for lazy heap invalidation.
   std::vector<uint64_t> taxi_gen_;
   /// Idle taxis without a route — the cruise-offer candidates — ordered by
-  /// id so offers replay the sweep's iteration order exactly.
+  /// id so offers go out in taxi-id order.
   std::set<TaxiId> idle_routeless_;
   /// Scratch buffers (due taxis of one advancement, offer snapshot).
   std::vector<TaxiId> due_;
@@ -190,7 +180,7 @@ class SimulationEngine : public FleetSync {
   Seconds last_release_ = 0.0;
   /// Scratch: batch pointers handed to Dispatcher::DispatchBatch.
   std::vector<const RideRequest*> batch_buf_;
-  /// Taxi currently inside AdvanceTaxi/AdvanceTaxiEvent (re-entrancy guard
+  /// Taxi currently inside AdvanceTaxi (re-entrancy guard
   /// for SyncTaxi calls made from encounter dispatch).
   TaxiId advancing_ = kInvalidTaxi;
 };

@@ -134,7 +134,7 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
   JsonWriter w(indent);
   w.BeginObject();
   w.Key("schema_version");
-  w.Int(6);
+  w.Int(7);
   w.Key("experiment");
   w.String(context.experiment);
   w.Key("scheme");
@@ -147,6 +147,12 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
   w.Int(context.num_requests);
   w.Key("seed");
   w.UInt(context.seed);
+  // schema_version 7: DecisionDigest as 16 hex digits, so two reports can
+  // be checked for identical decisions without rerunning either.
+  char digest[17];
+  std::snprintf(digest, sizeof(digest), "%016" PRIx64, DecisionDigest(m));
+  w.Key("decision_digest");
+  w.String(digest);
 
   w.Key("requests");
   w.BeginObject();
@@ -208,8 +214,8 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
   w.Int(m.oracle_row_misses);
   w.EndObject();
 
-  // Batched insertion routing: how many one-to-many passes replaced
-  // per-pair queries, the truncated-sweep work they paid, lower-bound-
+  // Batched insertion routing: how many one-to-many passes primed the
+  // insertion legs, the truncated-sweep work they paid, lower-bound-
   // pruned candidates, and table misses that fell back to the oracle
   // (expected 0 — a nonzero value means the priming fan missed a leg
   // shape). The ch_* counters describe the contraction-hierarchy backend
@@ -217,8 +223,6 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
   // ch_upward_settled is directly comparable to settled_vertices.
   w.Key("routing");
   w.BeginObject();
-  w.Key("batched");
-  w.Int(m.routing.batched ? 1 : 0);
   w.Key("batch_queries");
   w.Int(m.routing.batch_queries);
   w.Key("settled_vertices");
@@ -242,10 +246,10 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
   w.Key("ch_bucket_entries");
   w.Int(m.routing.ch_bucket_entries);
   // schema_version 6 adds the candidate-search path (DESIGN.md §14):
-  // which path discovered pickup-reachable taxis, how many taxis the
+  // which path discovered pickup-reachable taxis ("ch_buckets" exactly
+  // when the oracle ran on a CH, else "index"), how many taxis the
   // last-stop bucket sweeps returned, the bucket upkeep cost, and the
-  // detour-ellipse screen's slot traffic. All zero / "index" on the
-  // native path.
+  // detour-ellipse screen's slot traffic. All zero on the index path.
   w.Key("candidate_search");
   w.String(m.routing.bucket_search ? "ch_buckets" : "index");
   w.Key("bucket_candidates");
@@ -258,13 +262,10 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
   w.Int(m.routing.ellipse_pruned);
   w.EndObject();
 
-  // schema_version 4 adds the engine block: which advancement core ran and
-  // its work counters (heap pops and lazily synced taxis stay zero on the
-  // sweep core; boundaries/drain_rounds are shared).
+  // schema_version 4 adds the engine block: the advancement core's work
+  // counters.
   w.Key("engine");
   w.BeginObject();
-  w.Key("event_driven");
-  w.Int(m.engine.event_driven ? 1 : 0);
   w.Key("heap_pops");
   w.Int(m.engine.heap_pops);
   w.Key("lazy_syncs");

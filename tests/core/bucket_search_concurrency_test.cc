@@ -11,12 +11,12 @@ namespace mtshare {
 namespace {
 
 // Runs in mtshare_thread_tests so the tsan preset checks it: 8 threads
-// call RunScenario on ONE system with the ch_buckets candidate path. The
-// first runs race to lazily build the shared bucket-search hierarchy
-// (MTShareSystem::BucketSearchCh serializes construction behind a mutex),
-// then every dispatcher reads the same ContractionHierarchy concurrently
-// while owning its private LastStopBuckets store. Every run must land on
-// the same decisions as a reference run computed before the threads start.
+// call RunScenario on ONE system on the CH backend, so every run takes the
+// bucket candidate path. Every dispatcher sweeps the oracle's
+// ContractionHierarchy concurrently while owning its private
+// LastStopBuckets store, and the runs share the oracle's engine pool. Every
+// run must land on the same decisions as a reference run computed before
+// the threads start.
 TEST(BucketSearchConcurrencyTest, ConcurrentChBucketRunsStayIdentical) {
   GridCityOptions gopt;
   gopt.rows = 12;
@@ -37,7 +37,7 @@ TEST(BucketSearchConcurrencyTest, ConcurrentChBucketRunsStayIdentical) {
   SystemConfig config;
   config.kappa = 12;
   config.kt = 5;
-  config.matching.candidate_search = CandidateSearch::kChBuckets;
+  config.oracle.backend = OracleBackend::kCh;
   MTShareSystem system(net, scenario.HistoricalOdPairs(), config);
 
   ScenarioSpec spec;

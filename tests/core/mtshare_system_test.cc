@@ -187,16 +187,20 @@ TEST_F(MTShareSystemTest, ChBackendRunsBitIdenticalToExact) {
   // The whole-system check of the CH contract: running the same scenario
   // on the exact table and on the contraction hierarchy must produce the
   // same simulation down to the last served request and fare (all leg
-  // costs are bit-identical, so every dispatch decision is too).
+  // costs are bit-identical, so every dispatch decision is too). One
+  // system per backend, as a deployment would build it.
   ScenarioSpec spec;
   spec.scheme = SchemeKind::kMtShare;
   spec.requests = &scenario_.requests;
   spec.num_taxis = 25;
-  spec.oracle_backend = OracleBackend::kExact;
-  Result<Metrics> exact = system_->RunScenario(spec);
+  SystemConfig config = config_;
+  config.oracle.backend = OracleBackend::kExact;
+  MTShareSystem exact_system(net_, scenario_.HistoricalOdPairs(), config);
+  config.oracle.backend = OracleBackend::kCh;
+  MTShareSystem ch_system(net_, scenario_.HistoricalOdPairs(), config);
+  Result<Metrics> exact = exact_system.RunScenario(spec);
   ASSERT_TRUE(exact.ok());
-  spec.oracle_backend = OracleBackend::kCh;
-  Result<Metrics> ch = system_->RunScenario(spec);
+  Result<Metrics> ch = ch_system.RunScenario(spec);
   ASSERT_TRUE(ch.ok());
 
   EXPECT_EQ(exact.value().oracle_backend, "exact");

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/random.h"
 #include "graph/graph_generators.h"
 
@@ -112,6 +114,31 @@ TEST(DistanceOracleTest, SelfCostIsZeroWithoutRowFetch) {
   DistanceOracle oracle(net);
   EXPECT_DOUBLE_EQ(oracle.Cost(5, 5), 0.0);
   EXPECT_EQ(oracle.row_misses(), 0);
+}
+
+TEST(DistanceOracleTest, ChEngineBytesStayAtTheirPeak) {
+  // CH engines are measured when MemoryBytes() is called, not on every
+  // query. Their buffers never shrink and pooled engines are never
+  // destroyed, so once a large batch has grown them, smaller queries leave
+  // the reported bytes unchanged.
+  GridCityOptions gopt;
+  gopt.rows = 9;
+  gopt.cols = 9;
+  RoadNetwork net = MakeGridCity(gopt);
+  OracleOptions copt;
+  copt.backend = OracleBackend::kCh;
+  DistanceOracle oracle(net, copt);
+  std::vector<VertexId> all;
+  for (VertexId v = 0; v < net.num_vertices(); ++v) all.push_back(v);
+  std::vector<Seconds> matrix;
+  oracle.CostManyToMany(all, all, &matrix);
+  const size_t peak = oracle.MemoryBytes();
+  EXPECT_GT(peak, oracle.ch()->MemoryBytes());
+  std::vector<Seconds> row;
+  oracle.CostMany(3, std::vector<VertexId>{7}, &row);
+  oracle.Cost(1, 40);
+  EXPECT_EQ(oracle.MemoryBytes(), peak);
+  EXPECT_EQ(oracle.MemoryBytes(), peak);
 }
 
 TEST(DistanceOracleTest, MemoryGrowsWithRows) {

@@ -133,14 +133,32 @@ TEST_F(ServeCliTest, RejectsMalformedFlags) {
   for (const char* flag :
        {"--taxis=abc", "--batch-window-ms=nope", "--batch-window-ms=-3",
         "--max-queue=-1", "--gauge-every=x", "--scheme=uber-pool",
-        "--oracle=magic", "--engine=warp", "--seed=-1", "--seed=abc",
-        "--seed=4.5", "--candidates=magic", "--candidates=",
-        "--candidates=INDEX", "--candidates=buckets"}) {
+        "--oracle=magic", "--seed=-1", "--seed=abc", "--seed=4.5"}) {
     std::string cmd = std::string(MTSHARE_SERVE_BINARY) + " \"" +
                       std::string(flag) +
                       "\" < /dev/null > /dev/null 2>&1";
     EXPECT_EQ(RunCommand(cmd), 2) << flag;
   }
+}
+
+TEST_F(ServeCliTest, RejectsUnknownFlags) {
+  // Retired flags (the sweep engine, per-pair routing and the candidate
+  // switch) and typos must exit 2 and name the flag, instead of silently
+  // serving with the default configuration.
+  const std::string err = testing::TempDir() + "serve_cli_flags.err";
+  for (const char* flag : {"--engine=sweep", "--batched=0",
+                           "--candidates=ch_buckets", "--taxi=5"}) {
+    std::string cmd = std::string(MTSHARE_SERVE_BINARY) + " \"" +
+                      std::string(flag) + "\" < /dev/null > /dev/null 2> " +
+                      err;
+    EXPECT_EQ(RunCommand(cmd), 2) << flag;
+    const std::string name =
+        std::string(flag).substr(0, std::string(flag).find('='));
+    const std::string stderr_text = ReadFile(err);
+    EXPECT_NE(stderr_text.find(name), std::string::npos)
+        << flag << ": stderr was '" << stderr_text << "'";
+  }
+  std::remove(err.c_str());
 }
 
 TEST_F(ServeCliTest, AcceptsFullUint64SeedRange) {

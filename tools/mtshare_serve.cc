@@ -22,13 +22,11 @@
 //                  omits                   (default 1.3)
 //   --seed         RNG seed                (default 42)
 //   --threads      matching worker threads (default 1; 0 = all cores)
-//   --oracle       auto | exact | lru | ch (default auto)
-//   --candidates   index | ch_buckets      (default index) — candidate
-//                  search path (DESIGN.md §14); ch_buckets answers pickup
-//                  reachability with one backward CH sweep over last-stop
-//                  buckets and screens insertion slots with the
-//                  detour-ellipse bound. Decisions are identical.
-//   --engine       event | sweep           (default event)
+//   --oracle       auto | exact | lru | ch (default auto). On ch, pickup
+//                  reachability comes from one backward CH sweep over
+//                  last-stop buckets and insertion slots are screened with
+//                  the detour-ellipse bound (DESIGN.md §14); decisions are
+//                  the same on every backend.
 //   --rows/--cols  generated city size     (default 48x48)
 //   --network      edge-list CSV to load instead of generating
 //   --historical   historical trips for the mobility statistics
@@ -46,11 +44,11 @@
 //   --gauge-every  emit a gauge line to stderr every N decisions
 //                  (default 1000; 0 = silent)
 //   --input        read the request log from this file instead of stdin
-//   --report       write a schema-5 JSON run report here (includes the
-//                  "serve" admission/backpressure block)
+//   --report       write a JSON run report here (includes the "serve"
+//                  admission/backpressure block; see EXPERIMENTS.md)
 //
 // Exit codes: 0 success, 1 runtime failure (bad network file, malformed
-// request line, short write), 2 flag/usage errors.
+// request line, short write), 2 flag/usage errors, unknown flags included.
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -73,6 +71,22 @@ using namespace mtshare;
 
 namespace {
 
+/// Every flag main() reads (the header above documents them).
+const char* const kFlags[] = {
+    "help", "scheme", "taxis", "kappa", "capacity", "gamma", "rho", "seed",
+    "threads", "oracle", "rows", "cols", "network", "historical", "window",
+    "batch-window-ms", "max-queue", "gauge-every", "input", "report",
+};
+
+bool KnownFlag(const std::string& key) {
+  for (const char* flag : kFlags) {
+    if (key == flag) return true;
+  }
+  return false;
+}
+
+/// Parses --key=value flags. Positional arguments and unknown keys are
+/// errors, reported on stderr with the offending argument.
 std::map<std::string, std::string> ParseArgs(int argc, char** argv,
                                              bool* ok) {
   std::map<std::string, std::string> args;
@@ -84,12 +98,16 @@ std::map<std::string, std::string> ParseArgs(int argc, char** argv,
       *ok = false;
       continue;
     }
-    size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      args[arg.substr(2)] = "1";
-    } else {
-      args[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+    const size_t eq = arg.find('=');
+    const std::string key = arg.substr(2, eq == std::string::npos
+                                              ? std::string::npos
+                                              : eq - 2);
+    if (!KnownFlag(key)) {
+      std::fprintf(stderr, "unknown flag: --%s\n", key.c_str());
+      *ok = false;
+      continue;
     }
+    args[key] = eq == std::string::npos ? "1" : arg.substr(eq + 1);
   }
   return args;
 }
@@ -196,11 +214,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown --oracle (want auto|exact|lru|ch)\n");
     return 2;
   }
-  if (!ParseCandidateSearch(GetS(args, "candidates", "index"),
-                            &config.matching.candidate_search)) {
-    std::fprintf(stderr, "unknown --candidates (want index|ch_buckets)\n");
-    return 2;
-  }
   config.seed = seed;
 
   const int32_t num_taxis = GetCount(args, "taxis", 150, &ok);
@@ -213,11 +226,6 @@ int main(int argc, char** argv) {
   }
   const int32_t max_queue = GetCount(args, "max-queue", 0, &ok);
   const int32_t gauge_every = GetCount(args, "gauge-every", 1000, &ok);
-  const std::string engine_mode = GetS(args, "engine", "event");
-  if (engine_mode != "event" && engine_mode != "sweep") {
-    std::fprintf(stderr, "unknown --engine (want event|sweep)\n");
-    return 2;
-  }
   if (!ok) return 2;  // every malformed flag already printed its error
 
   Status valid = config.Validate();
@@ -316,7 +324,6 @@ int main(int argc, char** argv) {
   spec.num_taxis = num_taxis;
   spec.fleet_seed = seed + 3;
   spec.num_threads = num_threads;
-  spec.event_driven = engine_mode == "event";
   spec.batch_window_ms = batch_window_ms;
   spec.max_queue = max_queue;
   spec.on_decision = [&](const RideRequest& r, const RequestRecord& rec) {

@@ -19,19 +19,12 @@
 //   --seed         RNG seed                (default 42)
 //   --threads      matching worker threads (default 1; 0 = all cores;
 //                  results identical for any value)
-//   --batched      batched insertion routing (default 1; 0 = per-pair
-//                  oracle queries; results identical either way)
 //   --oracle       auto | exact | lru | ch  (default auto: exact table for
 //                  small graphs, contraction hierarchy for large ones;
-//                  results identical for every backend)
-//   --candidates   index | ch_buckets       (default index: each scheme's
-//                  native candidate scan with per-taxi reachability
-//                  probes; ch_buckets = last-stop CH bucket sweeps +
-//                  detour-ellipse slot pruning, DESIGN.md §14; dispatch
-//                  decisions identical either way)
-//   --engine       event | sweep            (default event: min-heap fleet
-//                  advancement; sweep = legacy per-boundary full-fleet
-//                  walk; decision metrics identical either way)
+//                  results identical for every backend). The candidate
+//                  search follows the backend (DESIGN.md §14): last-stop
+//                  CH bucket sweeps with detour-ellipse slot pruning on
+//                  ch, each scheme's index scan otherwise.
 //   --rows/--cols  generated city size     (default 48x48)
 //   --network      edge-list CSV to load instead of generating
 //   --batch-window-ms  batch-window ingest Δt, simulated ms (default 0 =
@@ -44,6 +37,9 @@
 //   --per-request  write a per-request CSV record here
 //   --report       write a structured JSON run report here (percentiles,
 //                  per-phase dispatch breakdown; see EXPERIMENTS.md)
+//
+// Any other flag is rejected (exit 2), so a misspelt or retired flag never
+// silently runs the default configuration.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -62,6 +58,22 @@ using namespace mtshare;
 
 namespace {
 
+/// Every flag main() reads (the header above documents them).
+const char* const kFlags[] = {
+    "help", "scheme", "window", "taxis", "requests", "offline", "rho", "kappa",
+    "capacity", "gamma", "seed", "threads", "oracle", "rows", "cols", "network",
+    "batch-window-ms", "max-queue", "save-requests", "per-request", "report",
+};
+
+bool KnownFlag(const std::string& key) {
+  for (const char* flag : kFlags) {
+    if (key == flag) return true;
+  }
+  return false;
+}
+
+/// Parses --key=value flags. Positional arguments and unknown keys are
+/// errors, reported on stderr with the offending argument.
 std::map<std::string, std::string> ParseArgs(int argc, char** argv,
                                              bool* ok) {
   std::map<std::string, std::string> args;
@@ -73,12 +85,16 @@ std::map<std::string, std::string> ParseArgs(int argc, char** argv,
       *ok = false;
       continue;
     }
-    size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      args[arg.substr(2)] = "1";
-    } else {
-      args[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+    const size_t eq = arg.find('=');
+    const std::string key = arg.substr(2, eq == std::string::npos
+                                              ? std::string::npos
+                                              : eq - 2);
+    if (!KnownFlag(key)) {
+      std::fprintf(stderr, "unknown flag: --%s\n", key.c_str());
+      *ok = false;
+      continue;
     }
+    args[key] = eq == std::string::npos ? "1" : arg.substr(eq + 1);
   }
   return args;
 }
@@ -173,14 +189,8 @@ int main(int argc, char** argv) {
   config.rho = GetD(args, "rho", 1.3, &ok);
   config.taxi_capacity = GetCount(args, "capacity", 3, &ok);
   config.matching.gamma_max_m = GetD(args, "gamma", 2500.0, &ok);
-  config.matching.batched_routing = GetCount(args, "batched", 1, &ok) != 0;
   if (!ParseOracleBackend(GetS(args, "oracle", "auto"), &config.oracle.backend)) {
     std::fprintf(stderr, "unknown --oracle (want auto|exact|lru|ch)\n");
-    return 2;
-  }
-  if (!ParseCandidateSearch(GetS(args, "candidates", "index"),
-                            &config.matching.candidate_search)) {
-    std::fprintf(stderr, "unknown --candidates (want index|ch_buckets)\n");
     return 2;
   }
   config.seed = seed;
@@ -201,11 +211,6 @@ int main(int argc, char** argv) {
     ok = false;
   }
   const int32_t max_queue = GetCount(args, "max-queue", 0, &ok);
-  const std::string engine_mode = GetS(args, "engine", "event");
-  if (engine_mode != "event" && engine_mode != "sweep") {
-    std::fprintf(stderr, "unknown --engine (want event|sweep)\n");
-    return 2;
-  }
   if (!ok) return 2;  // every malformed flag already printed its error
 
   Status valid = config.Validate();
@@ -263,7 +268,6 @@ int main(int argc, char** argv) {
   spec.num_taxis = num_taxis;
   spec.fleet_seed = seed + 3;
   spec.num_threads = num_threads;
-  spec.event_driven = engine_mode == "event";
   spec.batch_window_ms = batch_window_ms;
   spec.max_queue = max_queue;
   Result<Metrics> run = system.value()->RunScenario(spec);

@@ -15,20 +15,23 @@ if(NOT EXISTS "${REPORT_PATH}")
   message(FATAL_ERROR "report file was not written: ${REPORT_PATH}")
 endif()
 file(READ "${REPORT_PATH}" report)
-# Keys through schema_version 6 (the candidate-search routing counters).
-foreach(key "schema_version" "response_ms" "p95" "phases" "dispatch_total_ms"
-        "routing" "batch_queries" "settled_vertices" "lb_pruned"
-        "fallback_queries" "serve" "batch_window_ms" "admitted" "shed"
-        "queue_depth" "candidate_search" "bucket_candidates"
+# Keys through schema_version 7 (the decision digest).
+foreach(key "schema_version" "decision_digest" "response_ms" "p95" "phases"
+        "dispatch_total_ms" "routing" "batch_queries" "settled_vertices"
+        "lb_pruned" "fallback_queries" "serve" "batch_window_ms" "admitted"
+        "shed" "queue_depth" "candidate_search" "bucket_candidates"
         "bucket_maintenance_ms" "slots_screened" "ellipse_pruned")
   if(NOT report MATCHES "\"${key}\"")
     message(FATAL_ERROR "report missing key '${key}':\n${report}")
   endif()
 endforeach()
-# The default path must label itself; a stray "ch_buckets" here means the
-# flag default regressed.
+# A 12x12 city resolves to the exact table, so the candidate path must be
+# the index scan; a stray "ch_buckets" here means the derivation regressed.
 if(NOT report MATCHES "\"candidate_search\": *\"index\"")
   message(FATAL_ERROR "default run not labeled candidate_search=index:\n${report}")
+endif()
+if(NOT report MATCHES "\"decision_digest\": *\"[0-9a-f]+\"")
+  message(FATAL_ERROR "decision_digest is not a hex string:\n${report}")
 endif()
 # Every online request in a classic run is admitted; zero means the serve
 # counters are not wired through the engine.
@@ -42,19 +45,18 @@ if(NOT report MATCHES "\"fallback_queries\": *0[,\n}]")
 endif()
 file(REMOVE "${REPORT_PATH}")
 
-# Same smoke on the ch_buckets candidate path (schema_version 6): the run
-# must label itself, do real sweep work, and keep the no-fallback invariant
-# — the decision metrics are equivalence-tested elsewhere; this guards the
-# CLI wiring and the counter plumbing.
+# Same smoke on the CH backend, where the candidate path is the bucket
+# sweep (DESIGN.md §14): the run must label itself, do real sweep work, and
+# keep the no-fallback invariant — the decisions are pinned by the golden
+# digests elsewhere; this guards the CLI wiring and the counter plumbing.
 execute_process(
   COMMAND "${SIM_BINARY}" --scheme=mt-share --rows=12 --cols=12
-          --taxis=15 --requests=80 --candidates=ch_buckets
-          --report=${REPORT_PATH}
+          --taxis=15 --requests=80 --oracle=ch --report=${REPORT_PATH}
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "mtshare_sim --candidates=ch_buckets exited ${rc}\n${out}\n${err}")
+  message(FATAL_ERROR "mtshare_sim --oracle=ch exited ${rc}\n${out}\n${err}")
 endif()
 file(READ "${REPORT_PATH}" report)
 if(NOT report MATCHES "\"candidate_search\": *\"ch_buckets\"")
