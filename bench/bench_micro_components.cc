@@ -1,5 +1,5 @@
 // Micro-benchmarks of the performance-critical components (google-benchmark):
-// shortest-path engines (plain vs A* vs partition-filtered vs oracle-cached),
+// shortest-path engines (plain vs partition-filtered vs oracle-cached),
 // request insertion (exhaustive vs DP), k-means, mobility clustering, and
 // the candidate indexes. These quantify the design choices DESIGN.md calls
 // out: filtered search settles fewer vertices; the oracle makes leg costs
@@ -18,7 +18,6 @@
 #include "matching/taxi_index.h"
 #include "mobility/mobility_clustering.h"
 #include "partition/bipartite_partitioner.h"
-#include "routing/astar.h"
 #include "routing/one_to_many.h"
 #include "sched/route_planner.h"
 #include "sim/engine.h"
@@ -54,17 +53,7 @@ void BM_Dijkstra(benchmark::State& state) {
 }
 BENCHMARK(BM_Dijkstra);
 
-void BM_AStar(benchmark::State& state) {
-  AStarSearch search(Net());
-  Rng rng(1);
-  for (auto _ : state) {
-    auto [a, b] = RandomPair(rng);
-    benchmark::DoNotOptimize(search.Cost(a, b));
-  }
-}
-BENCHMARK(BM_AStar);
-
-void BM_OracleCost(benchmark::State& state) {
+void BM_OracleQuery(benchmark::State& state) {
   DistanceOracle oracle(Net());
   Rng rng(1);
   // A working set of sources (taxi locations repeat heavily in practice);
@@ -79,7 +68,7 @@ void BM_OracleCost(benchmark::State& state) {
     benchmark::DoNotOptimize(oracle.Cost(a, b));
   }
 }
-BENCHMARK(BM_OracleCost);
+BENCHMARK(BM_OracleQuery);
 
 // Head-to-head of the three oracle backends on the dispatch-batch shape:
 // one cold-ish point query plus an 8x16 many-to-many block per iteration.

@@ -88,8 +88,8 @@ class RoadNetwork {
 
   const BoundingBox& bounds() const { return bounds_; }
 
-  /// Straight-line lower bound on travel time between two vertices; admissible
-  /// for A* because no arc is faster than max_speed_factor * speed.
+  /// Straight-line lower bound on travel time between two vertices;
+  /// admissible because no arc is faster than max_speed_factor * speed.
   Seconds EuclideanLowerBound(VertexId a, VertexId b) const;
 
   /// Approximate resident memory of the CSR structures, bytes.

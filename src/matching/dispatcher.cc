@@ -19,23 +19,6 @@ Dispatcher::Dispatcher(const RoadNetwork& network, DistanceOracle* oracle,
   MTSHARE_CHECK(fleet != nullptr);
 }
 
-LegCostFn Dispatcher::OracleCost() {
-  return [this](VertexId a, VertexId b) { return oracle_->Cost(a, b); };
-}
-
-LegCostFn Dispatcher::BatchedCost() {
-  return [this](VertexId a, VertexId b) { return batch_.Cost(a, b); };
-}
-
-void Dispatcher::RegisterCandidateStops(const TaxiState& t) {
-  batch_walk_buf_.clear();
-  batch_walk_buf_.push_back(t.location);
-  for (const ScheduleEvent& e : t.schedule.events()) {
-    batch_walk_buf_.push_back(e.vertex);
-  }
-  batch_.AddCandidate(batch_walk_buf_);
-}
-
 void Dispatcher::EnableChBucketSearch(const ContractionHierarchy* ch) {
   if (ch == nullptr) {
     buckets_.reset();
@@ -91,7 +74,6 @@ bool Dispatcher::ComputeEllipseMask(const TaxiState& t, const RideRequest& r,
   const size_t m = ev.size();
   mask->pickup.assign(m + 1, 1);
   mask->dropoff.assign(m + 1, 1);
-  if (lb_landmarks_ == nullptr) return true;
   const LandmarkGraph& lm = *lb_landmarks_;
   slots_screened_ += static_cast<int64_t>(2 * (m + 1));
   const Seconds pickup_deadline = r.PickupDeadline();
@@ -186,41 +168,28 @@ bool Dispatcher::LowerBoundPrunesPickup(VertexId taxi_location,
   return false;
 }
 
-void Dispatcher::DispatchBatch(
-    const std::vector<const RideRequest*>& batch, Seconds now,
-    const std::function<void(const RideRequest&)>& dispatch_one) {
-  (void)now;  // the engine already advanced the fleet to the window close
-  for (const RideRequest* request : batch) {
-    dispatch_one(*request);
-  }
-}
-
 Dispatcher::CandidateEval Dispatcher::EvaluateCandidates(
     const std::vector<TaxiId>& candidates, const RideRequest& request,
     Seconds now) {
   ScopedPhaseTimer timer(phase_timers_, DispatchPhase::kInsertion);
   // Materialize every candidate before any state is read — sequentially,
   // ahead of the pool fan-out, so lazy advancement never runs on a worker.
+  // Sync first: a sync may serve a hail through a nested EvaluateCandidates.
   for (TaxiId id : candidates) SyncTaxiState(id, now);
   // Reused per-call scratch: slots are overwritten by evaluate() (or their
   // `found` flag cleared on the skip path), so stale entries from the
   // previous request can never leak into the reduction.
   eval_results_.resize(candidates.size());
   std::vector<InsertionResult>& results = eval_results_;
-  // Lower-bound prune first (sequential, so the counter and the batch are
-  // thread-count invariant): a pruned candidate's pickup provably misses
-  // its deadline, so its DP could only return found == false — skip it and
-  // keep its stops out of the priming fan.
   eval_skip_.assign(candidates.size(), 0);
   std::vector<uint8_t>& skip = eval_skip_;
   const bool ellipse = EllipseScreenEnabled();
   if (ellipse) {
-    // Bucket path: the detour-ellipse screen subsumes the lower-bound
-    // pickup prune (its P1 at slot 0 is the same test) and additionally
-    // masks provably infeasible insertion slots out of the DP. Fully
-    // pruned candidates are skipped outright and never registered with
-    // the priming batch. Sequential, so counters and the batch are
-    // thread-count invariant.
+    // Detour-ellipse screen (its P1 at slot 0 is the landmark lower-bound
+    // pickup prune): masks provably infeasible insertion slots out of the
+    // DP, and a fully pruned candidate is skipped outright and never
+    // registered with the priming batch. Sequential, so counters and the
+    // batch are thread-count invariant.
     eval_masks_.resize(candidates.size());
     for (size_t i = 0; i < candidates.size(); ++i) {
       if (!ComputeEllipseMask(taxi(candidates[i]), request, now,
@@ -228,22 +197,25 @@ Dispatcher::CandidateEval Dispatcher::EvaluateCandidates(
         skip[i] = 1;
       }
     }
-  } else if (lb_landmarks_ != nullptr) {
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (LowerBoundPrunesPickup(taxi(candidates[i]).location, request,
-                                 now)) {
-        skip[i] = 1;
-      }
-    }
   }
-  // Prime every leg the insertion walks can request with one-to-many
-  // passes, sequentially; workers then read the immutable table.
+  // Prime every leg the insertion walks can request (taxi location plus
+  // schedule stops per candidate) with one-to-many passes, sequentially;
+  // workers then read the immutable table.
   batch_.Begin(request.origin, request.destination);
   for (size_t i = 0; i < candidates.size(); ++i) {
-    if (!skip[i]) RegisterCandidateStops(taxi(candidates[i]));
+    if (skip[i]) continue;
+    const TaxiState& t = taxi(candidates[i]);
+    batch_walk_buf_.clear();
+    batch_walk_buf_.push_back(t.location);
+    for (const ScheduleEvent& e : t.schedule.events()) {
+      batch_walk_buf_.push_back(e.vertex);
+    }
+    batch_.AddCandidate(batch_walk_buf_);
   }
   batch_.Prime();
-  const LegCostFn cost = BatchedCost();
+  const LegCostFn cost = [this](VertexId a, VertexId b) {
+    return batch_.Cost(a, b);
+  };
   auto evaluate = [&](size_t i) {
     if (skip[i]) {
       results[i].found = false;  // slot may hold a previous request's result
@@ -356,22 +328,18 @@ DispatchOutcome Dispatcher::TryServeEncountered(const RideRequest& request,
   SyncTaxiState(taxi_id, now);
   const TaxiState& t = taxi(taxi_id);
   if (t.FreeSeats() < request.passengers) return outcome;
-  // The taxi is physically at the request's origin: insert and re-plan.
-  InsertionResult ins;
-  {
-    ScopedPhaseTimer timer(phase_timers_, DispatchPhase::kInsertion);
-    ins = FindBestInsertionDp(t.schedule, request, t.location, now, t.onboard,
-                              t.capacity, OracleCost());
-  }
-  if (!ins.found) return outcome;
+  // The taxi is physically at the request's origin: insert (the online
+  // insertion path over one candidate) and re-plan.
+  CandidateEval best = EvaluateCandidates({taxi_id}, request, now);
+  if (best.taxi == kInvalidTaxi) return outcome;
   RoutePlanner::PlannedRoute route =
-      PlanShortestRoute(t.location, now, ins.schedule);
+      PlanShortestRoute(t.location, now, best.insertion.schedule);
   if (!route.valid) return outcome;
   outcome.assigned = true;
   outcome.taxi = taxi_id;
-  outcome.detour = ins.detour;
+  outcome.detour = best.insertion.detour;
   outcome.candidates = 1;
-  outcome.schedule = std::move(ins.schedule);
+  outcome.schedule = std::move(best.insertion.schedule);
   outcome.route = std::move(route);
   return outcome;
 }

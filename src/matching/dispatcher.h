@@ -2,7 +2,6 @@
 #define MTSHARE_MATCHING_DISPATCHER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -105,34 +104,16 @@ class Dispatcher {
   virtual DispatchOutcome Dispatch(const RideRequest& request,
                                    Seconds now) = 0;
 
-  /// Batch-window entry point (DESIGN.md §12): the engine collected
-  /// `batch` (release order) over one window and asks the scheme to
-  /// dispatch it at window-close time `now`. `dispatch_one` runs the
-  /// standard dispatch-and-commit path for one request — each request's
-  /// plan is applied before the next dispatch runs, so later requests see
-  /// the fleet the earlier assignments produced. Implementations must call
-  /// it exactly once per request; the default replays the batch in release
-  /// order, which keeps batched runs deterministic and makes Δt=0 collapse
-  /// to the per-request loop. Override to prime shared per-window state
-  /// (or, later, to solve the batch as one assignment problem).
-  virtual void DispatchBatch(
-      const std::vector<const RideRequest*>& batch, Seconds now,
-      const std::function<void(const RideRequest&)>& dispatch_one);
-
-  /// A taxi advanced one vertex along its route.
-  virtual void OnTaxiMoved(TaxiId taxi) { (void)taxi; }
-  /// Batched movement notification from the event-driven engine: the taxi
-  /// advanced from route position `from_pos` through `to_pos` (to_pos can
-  /// trail the taxi's current route_pos when the engine splits a batch
-  /// around a schedule event). Must be observationally equivalent to one
-  /// OnTaxiMoved per arc; the default collapses the batch into a single
-  /// OnTaxiMoved, which is exact for last-write-wins indexes (the grid
-  /// baselines) and no-op trackers. mT-Share overrides it to replay its
-  /// partition-crossing reindexes per crossing.
+  /// Movement notification from the engine: the taxi advanced from route
+  /// position `from_pos` through `to_pos` (to_pos can trail the taxi's
+  /// current route_pos when the engine splits a span around a schedule
+  /// event). The grid baselines refresh their last-write-wins index from
+  /// the taxi's location; mT-Share replays its partition-crossing
+  /// reindexes per crossing. Default: no-op.
   virtual void OnTaxiAdvanced(TaxiId taxi, size_t from_pos, size_t to_pos) {
+    (void)taxi;
     (void)from_pos;
     (void)to_pos;
-    OnTaxiMoved(taxi);
   }
   /// Whether per-arc index updates are order-sensitive *across taxis*.
   /// mT-Share's mobility clustering folds taxi vectors into floating-point
@@ -161,7 +142,8 @@ class Dispatcher {
 
   /// Offline-request encounter (paper Sec. IV-C2): `taxi` met the waiting
   /// request at its origin vertex; serve it if a feasible insertion exists.
-  /// Default: best insertion via oracle costs + shortest-path route.
+  /// Default: EvaluateCandidates over the one taxi (the online insertion
+  /// path) + shortest-path route.
   virtual DispatchOutcome TryServeEncountered(const RideRequest& request,
                                               TaxiId taxi, Seconds now);
 
@@ -215,11 +197,12 @@ class Dispatcher {
   /// Accumulated per-phase dispatch time (the run-report breakdown).
   const PhaseTimers& phase_timers() const { return phase_timers_; }
 
-  /// Arms landmark-triangle lower bounds: candidate taxis whose pickup is
-  /// provably unreachable before its deadline are skipped without exact
-  /// routing. Admissible (never exceeds the true cost, with an absolute
-  /// slack absorbing FP rounding), so outcomes are unchanged — only work
-  /// is saved. `landmarks` must outlive the dispatcher; null disarms.
+  /// Arms landmark-triangle bounds: the detour-ellipse slot screen in
+  /// EvaluateCandidates, and the lower-bound pickup prune of the exact
+  /// backend's reachability probes. Admissible (never exceeds the true
+  /// cost, with an absolute slack absorbing FP rounding), so outcomes are
+  /// unchanged — only work is saved. `landmarks` must outlive the
+  /// dispatcher; null disarms.
   void EnableLowerBoundPruning(const LandmarkGraph* landmarks) {
     lb_landmarks_ = landmarks;
   }
@@ -229,10 +212,10 @@ class Dispatcher {
   /// oracle runs on a contraction hierarchy; without one each scheme scans
   /// its own index with a per-taxi exact reachability probe. The bucket
   /// path answers every probe of a dispatch with one backward CH sweep over
-  /// last-stop bucket entries (LastStopBuckets) and screens insertion slots
-  /// with detour-ellipse landmark bounds before exact routing. Decisions
-  /// are bit-identical either way: both paths keep the same structural
-  /// candidate set and order and only skip provably outcome-free work.
+  /// last-stop bucket entries (LastStopBuckets). Only candidate discovery
+  /// changes: the slot screen and insertion run the same on every backend.
+  /// Decisions are bit-identical either way: both paths keep the same
+  /// structural candidate set and order.
   /// Construction marks every taxi dirty, so the first sweep deposits the
   /// whole fleet. The schemes consult ChBucketSearchEnabled() to route
   /// their reachability probes through BucketSweep/BucketDistance instead
@@ -257,7 +240,9 @@ class Dispatcher {
   }
 
  protected:
-  /// Best feasible insertion over `candidates` for `request`: each
+  /// Best feasible insertion over `candidates` for `request` — the one
+  /// insertion path of every scheme and of offline encounters: screen
+  /// slots (ComputeEllipseMask), prime the leg-cost batch, then each
   /// candidate's FindBestInsertionDp runs on the pool when one is attached
   /// (the matching hot path, paper Algorithm 1 / Table III), then a
   /// sequential scan in candidate order keeps the winner — lowest detour,
@@ -271,14 +256,6 @@ class Dispatcher {
   };
   CandidateEval EvaluateCandidates(const std::vector<TaxiId>& candidates,
                                    const RideRequest& request, Seconds now);
-  /// Oracle-backed leg cost function (the O(1) shortest-path assumption),
-  /// for one-off insertions outside a primed batch.
-  LegCostFn OracleCost();
-  /// Leg costs served from the primed batch table (fallback: oracle).
-  LegCostFn BatchedCost();
-  /// Registers `t`'s insertion stop walk (location + schedule stops) with
-  /// the batch; call batch_.Prime() once all candidates are registered.
-  void RegisterCandidateStops(const TaxiState& t);
   /// True (and counted) when the landmark lower bound proves the taxi
   /// cannot reach the request origin by the pickup deadline. kLbSlack
   /// absorbs floating-point triangle-inequality violations so the prune
@@ -310,11 +287,9 @@ class Dispatcher {
   /// so masked insertion search returns the unmasked optimum.
   bool ComputeEllipseMask(const TaxiState& t, const RideRequest& r,
                           Seconds now, InsertionSlotMask* mask);
-  /// The screen needs both the bucket path (the opt-in) and landmarks
-  /// (the bounds).
-  bool EllipseScreenEnabled() const {
-    return buckets_ != nullptr && lb_landmarks_ != nullptr;
-  }
+  /// The screen runs on every backend once landmarks (the bounds) are
+  /// armed.
+  bool EllipseScreenEnabled() const { return lb_landmarks_ != nullptr; }
 
   /// Materializes `taxi`'s simulated state up to `now` before reading it
   /// (no-op without a registered FleetSync, or when the taxi is current).

@@ -35,7 +35,6 @@ class MtShareDispatcher : public Dispatcher {
 
   DispatchOutcome Dispatch(const RideRequest& request, Seconds now) override;
 
-  void OnTaxiMoved(TaxiId taxi) override;
   void OnTaxiAdvanced(TaxiId taxi, size_t from_pos, size_t to_pos) override;
   void OnScheduleCommitted(TaxiId taxi) override;
   void OnRequestCompleted(const RideRequest& request, TaxiId taxi) override;

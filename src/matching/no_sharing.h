@@ -19,7 +19,8 @@ class NoSharingDispatcher : public Dispatcher {
 
   DispatchOutcome Dispatch(const RideRequest& request, Seconds now) override;
 
-  void OnTaxiMoved(TaxiId taxi) override;
+  /// Movement needs no hook: busy taxis stay out of the idle index, and
+  /// an idle taxi's position refreshes when its schedule drains.
   void OnScheduleCommitted(TaxiId taxi) override;
 
   bool ServesOfflineRequests() const override { return false; }

@@ -13,7 +13,11 @@ PGreedyDpDispatcher::PGreedyDpDispatcher(const RoadNetwork& network,
   }
 }
 
-void PGreedyDpDispatcher::OnTaxiMoved(TaxiId id) {
+void PGreedyDpDispatcher::OnTaxiAdvanced(TaxiId id, size_t from_pos,
+                                         size_t to_pos) {
+  // Last-write-wins grid: only the taxi's current location matters.
+  (void)from_pos;
+  (void)to_pos;
   index_.Update(id, network_.coord(taxi(id).location));
 }
 

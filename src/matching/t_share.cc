@@ -15,7 +15,11 @@ TShareDispatcher::TShareDispatcher(const RoadNetwork& network,
   }
 }
 
-void TShareDispatcher::OnTaxiMoved(TaxiId id) {
+void TShareDispatcher::OnTaxiAdvanced(TaxiId id, size_t from_pos,
+                                      size_t to_pos) {
+  // Last-write-wins grid: only the taxi's current location matters.
+  (void)from_pos;
+  (void)to_pos;
   index_.Update(id, network_.coord(taxi(id).location));
 }
 
@@ -65,14 +69,11 @@ DispatchOutcome TShareDispatcher::Dispatch(const RideRequest& request,
   // inside the loop: the scan usually stops after one or two candidates, so
   // unlike the arg-min schemes there is no evaluation fan-out to
   // parallelize — speculatively scoring the whole candidate list would do
-  // strictly more work than the sequential early exit it replaces. The
-  // cost batch therefore primes incrementally, one candidate per Prime(),
-  // so the early exit keeps its win.
-  batch_.Begin(request.origin, request.destination);
+  // strictly more work than the sequential early exit it replaces. Each
+  // reachable candidate therefore goes through EvaluateCandidates on its
+  // own (screen, prime, DP), so the early exit keeps its win.
   // Bucket path: one backward CH sweep replaces the per-candidate
-  // reachability probes, and the detour-ellipse screen skips candidates
-  // (and their per-candidate Prime passes) whose every insertion slot is
-  // provably infeasible. The first-valid scan order is unchanged.
+  // reachability probes. The first-valid scan order is unchanged.
   const bool buckets = ChBucketSearchEnabled();
   if (buckets) {
     ScopedPhaseTimer timer(phase_timers_, DispatchPhase::kCandidateSearch);
@@ -93,30 +94,15 @@ DispatchOutcome TShareDispatcher::Dispatch(const RideRequest& request,
         if (now + approach > request.PickupDeadline()) continue;
       }
     }
-    InsertionResult ins;
-    {
-      ScopedPhaseTimer timer(phase_timers_, DispatchPhase::kInsertion);
-      const InsertionSlotMask* mask = nullptr;
-      if (EllipseScreenEnabled()) {
-        // A fully pruned candidate's DP could only return found == false;
-        // skipping it before RegisterCandidateStops/Prime also saves its
-        // two batch passes.
-        if (!ComputeEllipseMask(t, request, now, &mask_buf_)) continue;
-        mask = &mask_buf_;
-      }
-      RegisterCandidateStops(t);
-      batch_.Prime();
-      ins = FindBestInsertionDp(t.schedule, request, t.location, now,
-                                t.onboard, t.capacity, BatchedCost(), mask);
-    }
-    if (!ins.found) continue;
+    CandidateEval best = EvaluateCandidates({id}, request, now);
+    if (best.taxi == kInvalidTaxi) continue;
     RoutePlanner::PlannedRoute route =
-        PlanShortestRoute(t.location, now, ins.schedule);
+        PlanShortestRoute(t.location, now, best.insertion.schedule);
     if (!route.valid) continue;
     outcome.assigned = true;
     outcome.taxi = id;
-    outcome.detour = ins.detour;
-    outcome.schedule = std::move(ins.schedule);
+    outcome.detour = best.insertion.detour;
+    outcome.schedule = std::move(best.insertion.schedule);
     outcome.route = std::move(route);
     return outcome;  // first valid, not best — the scheme's signature
   }

@@ -26,15 +26,13 @@ class TShareDispatcher : public Dispatcher {
 
   DispatchOutcome Dispatch(const RideRequest& request, Seconds now) override;
 
-  void OnTaxiMoved(TaxiId taxi) override;
+  void OnTaxiAdvanced(TaxiId taxi, size_t from_pos, size_t to_pos) override;
   void OnScheduleCommitted(TaxiId taxi) override;
 
   size_t IndexMemoryBytes() const override { return index_.MemoryBytes(); }
 
  private:
   DynamicGridIndex index_;  ///< positions of all taxis
-  /// Detour-ellipse scratch (Dispatch is serialized per instance).
-  InsertionSlotMask mask_buf_;
 };
 
 }  // namespace mtshare

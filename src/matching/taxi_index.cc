@@ -94,26 +94,6 @@ void MtShareTaxiIndex::ReindexTaxiAt(const TaxiState& taxi, size_t pos,
   }
 }
 
-void MtShareTaxiIndex::OnTaxiMoved(const TaxiState& taxi, Seconds now) {
-  if (taxi.Idle()) {
-    ReindexTaxi(taxi, now);
-    return;
-  }
-  // Busy taxis: future memberships are route-derived and stay valid, but
-  // the moment the taxi crosses into a new partition its old
-  // current-partition entry is stale — the partition it left keeps
-  // advertising it with a past arrival time, inflating candidate lists
-  // with taxis that are no longer anywhere near. Reindex on crossing
-  // (memberships.front() is the current-partition entry by construction);
-  // moves within a partition keep the cheap early return.
-  if (static_cast<size_t>(taxi.id) >= taxi_partitions_.size() ||
-      taxi_partitions_[taxi.id].empty() ||
-      taxi_partitions_[taxi.id].front().partition !=
-          partitioning_.PartitionOf(taxi.location)) {
-    ReindexTaxi(taxi, now);
-  }
-}
-
 void MtShareTaxiIndex::OnTaxiAdvanced(const TaxiState& taxi, size_t from_pos,
                                       size_t to_pos) {
   if (taxi.Idle()) {
@@ -125,7 +105,8 @@ void MtShareTaxiIndex::OnTaxiAdvanced(const TaxiState& taxi, size_t from_pos,
     ReindexTaxiAt(taxi, to_pos, now);
     return;
   }
-  // Busy taxis: replay the crossing check at every stepped position. A
+  // Busy taxis: replay the crossing check at every stepped position
+  // (memberships.front() is the current-partition entry by construction). A
   // crossing must reindex *as of that position* — the route scan start and
   // the T_mp horizon both depend on where the crossing happened, so
   // collapsing to one batch-end reindex would record different arrivals.

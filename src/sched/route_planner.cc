@@ -1,6 +1,7 @@
 #include "sched/route_planner.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -108,6 +109,26 @@ std::vector<std::vector<PartitionId>> RoutePlanner::EnumeratePartitionPaths(
     mass[p] = PartitionEncounterMass(p, taxi_direction);
   }
 
+  // Hop distance of every kept partition to pz1 (BFS from pz1 over the
+  // kept set; landmark adjacency is symmetric). A partial path that cannot
+  // reach pz1 within max_path_hops even along a shortest continuation is
+  // pruned below: such a subtree holds no path, so `found` and its order
+  // are those of the unbounded walk, without its exponential dead ends.
+  const int32_t kNoHops = std::numeric_limits<int32_t>::max();
+  std::vector<int32_t> hops(partitioning_.num_partitions(), kNoHops);
+  if (in_kept[pz1]) {
+    std::vector<PartitionId> queue{pz1};
+    hops[pz1] = 0;
+    for (size_t head = 0; head < queue.size(); ++head) {
+      PartitionId p = queue[head];
+      for (PartitionId q : landmarks_.Neighbors(p)) {
+        if (!in_kept[q] || hops[q] != kNoHops) continue;
+        hops[q] = hops[p] + 1;
+        queue.push_back(q);
+      }
+    }
+  }
+
   // Depth-first enumeration of simple paths, greedy-heavy-first so that
   // early truncation keeps the strongest candidates.
   struct PathAcc {
@@ -153,6 +174,12 @@ std::vector<std::vector<PartitionId>> RoutePlanner::EnumeratePartitionPaths(
       }
       PartitionId next = frame.neighbors[frame.next++];
       if (visited[next]) continue;
+      // Paths hold at most max_path_hops + 1 partitions.
+      if (hops[next] == kNoHops ||
+          static_cast<int64_t>(current.size()) + 1 + hops[next] >
+              static_cast<int64_t>(options_.max_path_hops) + 1) {
+        continue;
+      }
       current.push_back(next);
       if (next == pz1) {
         double w = 0.0;

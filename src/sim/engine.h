@@ -178,8 +178,6 @@ class SimulationEngine : public FleetSync {
   Seconds last_deferred_ = 0.0;
   /// Latest ingested release time (the drain must reach it).
   Seconds last_release_ = 0.0;
-  /// Scratch: batch pointers handed to Dispatcher::DispatchBatch.
-  std::vector<const RideRequest*> batch_buf_;
   /// Taxi currently inside AdvanceTaxi (re-entrancy guard
   /// for SyncTaxi calls made from encounter dispatch).
   TaxiId advancing_ = kInvalidTaxi;

@@ -1,10 +1,11 @@
 // The bucket candidate path (armed on the CH backend) must make
 // BIT-IDENTICAL dispatch decisions to the index path (the exact table):
 // last-stop bucket sweeps answer the same reachability predicate the
-// per-taxi probes answer, and the detour-ellipse screen only clears
-// provably infeasible insertion slots. These tests run the whole system on
-// both backends for every scheme and compare run outcomes field by field,
-// and pin the bucket-store consistency invariant under the engine.
+// per-taxi probes answer, and the detour-ellipse screen, which runs on both
+// backends, only clears provably infeasible insertion slots. These tests
+// run the whole system on both backends for every scheme and compare run
+// outcomes field by field, and pin the bucket-store consistency invariant
+// under the engine.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -25,6 +26,7 @@ struct RunOptions {
   /// kExact runs the index path, kCh the bucket path.
   OracleBackend backend = OracleBackend::kExact;
   int32_t num_threads = 1;
+  double offline_fraction = 0.2;
 };
 
 Metrics RunOnce(const RunOptions& opt) {
@@ -41,7 +43,7 @@ Metrics RunOnce(const RunOptions& opt) {
   ScenarioOptions sopt;
   sopt.num_requests = 160;
   sopt.num_historical_trips = 2500;
-  sopt.offline_fraction = 0.2;
+  sopt.offline_fraction = opt.offline_fraction;
   sopt.seed = opt.seed + 2;
   Scenario scenario = MakeScenario(net, demand, oracle, sopt);
 
@@ -121,17 +123,31 @@ TEST(CandidateSearchEquivalenceTest, BucketsMatchIndexForEverySchemeAndSeed) {
         EXPECT_GE(buckets.routing.bucket_maintenance_ms, 0.0);
       }
       // Every scheme with landmarks armed runs the detour-ellipse screen
-      // in place of the plain lower-bound pass (No-Sharing has neither a
-      // schedule to screen nor landmarks).
+      // on both backends (No-Sharing has neither a schedule to screen nor
+      // landmarks). The backend changes only candidate discovery, so the
+      // screen sees the same candidates and prunes the same slots.
       if (scheme != SchemeKind::kNoSharing && buckets.ServedOnline() > 0) {
-        EXPECT_GT(buckets.routing.slots_screened, 0)
-            << SchemeName(scheme);
+        EXPECT_GT(index.routing.slots_screened, 0);
       }
-      EXPECT_EQ(index.routing.slots_screened, 0);
-      EXPECT_EQ(index.routing.ellipse_pruned, 0);
+      EXPECT_EQ(index.routing.slots_screened, buckets.routing.slots_screened);
+      EXPECT_EQ(index.routing.ellipse_pruned, buckets.routing.ellipse_pruned);
       EXPECT_EQ(buckets.routing.fallback_queries, 0);
     }
   }
+}
+
+TEST(CandidateSearchEquivalenceTest, HailsArePricedFromThePrimedBatchOnCh) {
+  // A street hail goes through the online insertion path (screen, primed
+  // cost batch, DP), so on the CH backend its legs come from many-to-many
+  // bucket sweeps: no per-pair CH point query and no batch fallback.
+  RunOptions opt;
+  opt.scheme = SchemeKind::kMtShare;
+  opt.backend = OracleBackend::kCh;
+  opt.offline_fraction = 0.32;
+  Metrics m = RunOnce(opt);
+  EXPECT_GT(m.ServedOffline(), 0);
+  EXPECT_EQ(m.routing.ch_point_queries, 0);
+  EXPECT_EQ(m.routing.fallback_queries, 0);
 }
 
 TEST(CandidateSearchEquivalenceTest, BucketsMatchUnderThreadedEvaluation) {

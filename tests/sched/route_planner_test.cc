@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/random.h"
 #include "graph/graph_generators.h"
 #include "partition/bipartite_partitioner.h"
@@ -186,6 +188,44 @@ TEST_F(RoutePlannerTest, ProbPlanRouteFallsBackAndStaysFeasible) {
   auto planned = planner_->PlanRoute(0, 0.0, s, /*probabilistic=*/true, dir);
   ASSERT_TRUE(planned.valid);
   EXPECT_LE(planned.event_arrivals[1], r.deadline + 1e-9);
+}
+
+TEST_F(RoutePlannerTest, HopBoundKeepsTheRecordedLegs) {
+  // Every leg below spans at least four partition hops, so with
+  // max_path_hops = 4 almost every partial landmark path exceeds the cap
+  // before it can reach the target partition; the enumeration prunes
+  // those subtrees up front. The expected legs were recorded before that
+  // prune existed: pruning subtrees that hold no path must not change
+  // which paths are found, nor their order.
+  RoutePlannerOptions options;
+  options.max_path_hops = 4;
+  RoutePlanner planner(net_, partitioning_, *lg_, &transitions_,
+                       oracle_.get(), options);
+  struct Leg {
+    VertexId from;
+    VertexId to;
+    std::vector<VertexId> vertices;  // empty: no partition path in reach
+  };
+  const std::vector<Leg> legs = {
+      {0, 153, {0, 1, 2, 3, 4, 5, 21, 22, 23, 39, 55, 71, 87, 103, 104, 120,
+                136, 137, 153}},
+      {17, 187, {17, 18, 34, 35, 36, 37, 38, 54, 55, 71, 87, 103, 104, 120,
+                 136, 137, 138, 154, 170, 171, 187}},
+      {32, 140, {}},
+      {48, 110, {48, 49, 50, 51, 52, 53, 54, 55, 56, 72, 88, 89, 90, 91, 92,
+                 93, 94, 110}},
+      {64, 143, {64, 65, 66, 67, 68, 69, 85, 86, 87, 103, 104, 120, 121, 122,
+                 123, 124, 125, 141, 142, 143}},
+  };
+  for (const Leg& leg : legs) {
+    SCOPED_TRACE(std::to_string(leg.from) + "->" + std::to_string(leg.to));
+    Point dir{net_.coord(leg.to).x - net_.coord(leg.from).x,
+              net_.coord(leg.to).y - net_.coord(leg.from).y};
+    Path path = planner.PlanProbabilisticLeg(
+        leg.from, leg.to, dir, oracle_->Cost(leg.from, leg.to) * 2.0);
+    EXPECT_EQ(path.valid, !leg.vertices.empty());
+    EXPECT_EQ(path.vertices, leg.vertices);
+  }
 }
 
 TEST_F(RoutePlannerTest, LegCountersAdvance) {

@@ -43,15 +43,22 @@ endif()
 if(NOT report MATCHES "\"fallback_queries\": *0[,\n}]")
   message(FATAL_ERROR "report shows nonzero fallback_queries:\n${report}")
 endif()
+# The slot screen runs on every backend with landmarks, the exact one too.
+if(report MATCHES "\"slots_screened\": *0[,\n}]")
+  message(FATAL_ERROR "exact run screened no insertion slots:\n${report}")
+endif()
 file(REMOVE "${REPORT_PATH}")
 
 # Same smoke on the CH backend, where the candidate path is the bucket
 # sweep (DESIGN.md §14): the run must label itself, do real sweep work, and
 # keep the no-fallback invariant — the decisions are pinned by the golden
 # digests elsewhere; this guards the CLI wiring and the counter plumbing.
+# Street hails go through the online insertion path, so they must not add
+# a single CH point query.
 execute_process(
   COMMAND "${SIM_BINARY}" --scheme=mt-share --rows=12 --cols=12
-          --taxis=15 --requests=80 --oracle=ch --report=${REPORT_PATH}
+          --taxis=15 --requests=80 --oracle=ch --offline=0.32
+          --report=${REPORT_PATH}
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
@@ -67,6 +74,9 @@ if(report MATCHES "\"bucket_candidates\": *0[,\n}]")
 endif()
 if(NOT report MATCHES "\"fallback_queries\": *0[,\n}]")
   message(FATAL_ERROR "ch_buckets run shows nonzero fallback_queries:\n${report}")
+endif()
+if(NOT report MATCHES "\"ch_point_queries\": *0[,\n}]")
+  message(FATAL_ERROR "ch_buckets run shows CH point queries:\n${report}")
 endif()
 file(REMOVE "${REPORT_PATH}")
 

@@ -66,16 +66,20 @@ grep -q '"candidate_search": "index"' "$report"
 grep -q '"heap_pops"' "$report"
 grep -q '"lazy_syncs"' "$report"
 grep -q '"arcs_stepped"' "$report"
+grep -Eq '"slots_screened": [1-9]' "$report"
 grep -q '"fallback_queries": 0' "$report"
 # CH leg: the candidate path follows the backend, so the run must sweep
-# last-stop buckets for real and keep the no-fallback invariant.
+# last-stop buckets for real and keep the no-fallback invariant. Street
+# hails share the online insertion path, so they add no CH point query.
 build/tools/mtshare_sim --scheme=mt-share --rows=12 --cols=12 \
-  --taxis=15 --requests=80 --oracle=ch --report="$report" >/dev/null
+  --taxis=15 --requests=80 --oracle=ch --offline=0.32 \
+  --report="$report" >/dev/null
 grep -q '"backend": "ch"' "$report"
 grep -q '"ch_upward_settled"' "$report"
 grep -q '"candidate_search": "ch_buckets"' "$report"
 grep -Eq '"bucket_candidates": [1-9]' "$report"
 grep -q '"ellipse_pruned"' "$report"
+grep -q '"ch_point_queries": 0' "$report"
 grep -q '"fallback_queries": 0' "$report"
 echo "report OK: $report"
 # One quick advancement micro-bench pass (small fleet) to catch bit-rot in
