@@ -395,7 +395,6 @@ void BM_EngineAdvance(benchmark::State& state) {
     mconfig.gamma_max_m = 600.0;
     NoSharingDispatcher dispatcher(Net(), &oracle, &fleet, mconfig);
     EngineOptions opts;
-    opts.serve_offline = false;
     SimulationEngine engine(Net(), &dispatcher, &fleet, opts);
     state.ResumeTiming();
     benchmark::DoNotOptimize(engine.Run(requests));

@@ -193,7 +193,6 @@ Result<Metrics> MTShareSystem::RunScenario(const ScenarioSpec& spec) {
                 spec.fleet_seed, start_time);
   DistanceOracle* oracle = oracle_.get();
   std::unique_ptr<Dispatcher> dispatcher = MakeDispatcher(spec.scheme, &fleet);
-  dispatcher->EnablePhaseTiming(spec.collect_phase_timing);
 
   // One pool per run: startup is microseconds against multi-second runs,
   // and per-run pools keep concurrent RunScenario calls (the bench sweep
@@ -206,7 +205,6 @@ Result<Metrics> MTShareSystem::RunScenario(const ScenarioSpec& spec) {
   }
 
   EngineOptions eopts;
-  eopts.serve_offline = spec.serve_offline;
   eopts.batch_window_ms = spec.batch_window_ms;
   eopts.max_queue = spec.max_queue;
   eopts.on_decision = spec.on_decision;

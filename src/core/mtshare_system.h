@@ -55,7 +55,7 @@ struct ScenarioSpec {
   RequestSource* source = nullptr;
   /// Batch-window ingest Δt in simulated milliseconds: collect arrivals
   /// for Δt after the first pending release, dispatch the batch at window
-  /// close. 0 replays the classic per-request boundary loop exactly.
+  /// close. 0 makes each request a one-request window, flushed on ingest.
   double batch_window_ms = 0.0;
   /// Admission cap on the pending dispatch queue (0 = unbounded). With a
   /// batch window, online arrivals past the cap are shed unserved
@@ -68,16 +68,10 @@ struct ScenarioSpec {
   int32_t num_taxis = 0;
   /// Controls initial taxi placement.
   uint64_t fleet_seed = 1;
-  /// Enables offline-request encounters (street hails, Sec. IV-C2).
-  bool serve_offline = true;
   /// Worker threads for candidate-schedule evaluation. 1 = sequential;
   /// results are bit-identical for every value (deterministic reduction).
   /// 0 = hardware concurrency.
   int32_t num_threads = 1;
-  /// Collects the per-phase dispatch-time breakdown (Metrics::phases,
-  /// surfaced in run reports). A handful of steady_clock reads per
-  /// dispatch; set false to shave even that from latency-critical runs.
-  bool collect_phase_timing = true;
 
   /// OK, or the first violated constraint.
   Status Validate() const;

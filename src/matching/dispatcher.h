@@ -54,20 +54,6 @@ struct MatchingConfig {
   double grid_cell_m = 500.0;
 };
 
-/// Brings a taxi's simulated state up to `now` before it is read. The
-/// simulation engine registers itself here: with the event-driven core,
-/// taxis the event queue has not yet touched can lag behind the clock, and
-/// this hook materializes them on demand. The engine materializes every
-/// due taxi before handing control to a dispatcher, so in practice these
-/// calls are no-ops — the hook is the *contract* that makes the engine's
-/// laziness invisible to the matching layer, and the seam tests use to
-/// exercise lazy syncs directly.
-class FleetSync {
- public:
-  virtual ~FleetSync() = default;
-  virtual void SyncTaxi(TaxiId taxi, Seconds now) = 0;
-};
-
 /// What a matching scheme returns for one ride request.
 struct DispatchOutcome {
   bool assigned = false;
@@ -115,12 +101,6 @@ class Dispatcher {
     (void)from_pos;
     (void)to_pos;
   }
-  /// Whether per-arc index updates are order-sensitive *across taxis*.
-  /// mT-Share's mobility clustering folds taxi vectors into floating-point
-  /// cluster sums, so the inter-taxi update order is observable bit-wise;
-  /// the engine only defers fleet advancement across release boundaries
-  /// for schemes where it is not.
-  virtual bool IndexUpdatesOrderSensitive() const { return false; }
   /// A taxi's schedule/route was replaced (assignment) or drained (idle).
   virtual void OnScheduleCommitted(TaxiId taxi) { (void)taxi; }
   /// A request left the system (delivered).
@@ -129,10 +109,10 @@ class Dispatcher {
     (void)taxi;
   }
   /// A taxi's position or schedule changed in a way that can move its
-  /// last-stop bucket anchor: schedule commit, per-arc advance, lazy
-  /// materialization. The engine calls this IN ADDITION to the index
-  /// notifications above (schemes override those without chaining to the
-  /// base, so anchor upkeep needs its own hook). The base marks the taxi's
+  /// last-stop bucket anchor: schedule commit or per-arc advance. The
+  /// engine calls this IN ADDITION to the index notifications above
+  /// (schemes override those without chaining to the base, so anchor
+  /// upkeep needs its own hook). The base marks the taxi's
   /// bucket entries dirty — O(1), idempotent; the rebuild is deferred to
   /// the next sweep, which skips taxis whose anchor did not actually move.
   /// No-op when bucket search is off.
@@ -167,14 +147,10 @@ class Dispatcher {
   void EnableIdleCruising(const MapPartitioning* partitioning,
                           std::unique_ptr<RoutePlanner> planner);
 
-  /// Whether idle cruising is armed. The engine skips the per-boundary
+  /// Whether idle cruising is armed. The engine skips the per-flush
   /// cruise offers entirely when it is not (PlanIdleCruise would be a
   /// side-effect-free early return for every taxi).
   bool IdleCruisingEnabled() const { return cruise_planner_ != nullptr; }
-
-  /// Registers the engine's lazy-materialization hook (null detaches).
-  void set_fleet_sync(FleetSync* sync) { fleet_sync_ = sync; }
-  FleetSync* fleet_sync() const { return fleet_sync_; }
 
   /// Resident bytes of the scheme's index structures (paper Table IV).
   virtual size_t IndexMemoryBytes() const { return 0; }
@@ -188,12 +164,6 @@ class Dispatcher {
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
   ThreadPool* thread_pool() const { return pool_; }
 
-  /// Arms (or disarms) per-phase dispatch timing and clears any
-  /// accumulated totals. Disabled timing costs one branch per section.
-  void EnablePhaseTiming(bool enabled) {
-    phase_timers_.Reset();
-    phase_timers_.enabled = enabled;
-  }
   /// Accumulated per-phase dispatch time (the run-report breakdown).
   const PhaseTimers& phase_timers() const { return phase_timers_; }
 
@@ -291,13 +261,6 @@ class Dispatcher {
   /// armed.
   bool EllipseScreenEnabled() const { return lb_landmarks_ != nullptr; }
 
-  /// Materializes `taxi`'s simulated state up to `now` before reading it
-  /// (no-op without a registered FleetSync, or when the taxi is current).
-  /// Schemes call this ahead of candidate evaluation and encounter probes.
-  void SyncTaxiState(TaxiId taxi, Seconds now) const {
-    if (fleet_sync_ != nullptr) fleet_sync_->SyncTaxi(taxi, now);
-  }
-
   /// Materializes an unrestricted shortest-path route for a schedule.
   RoutePlanner::PlannedRoute PlanShortestRoute(VertexId start,
                                                Seconds start_time,
@@ -340,8 +303,6 @@ class Dispatcher {
  private:
   /// Worker pool for candidate evaluation (not owned; null = sequential).
   ThreadPool* pool_ = nullptr;
-  /// Lazy fleet materialization hook (not owned; null = fleet is eager).
-  FleetSync* fleet_sync_ = nullptr;
 
   // Idle-cruising state (see EnableIdleCruising).
   const MapPartitioning* cruise_partitioning_ = nullptr;

@@ -39,13 +39,6 @@ class MtShareDispatcher : public Dispatcher {
   void OnScheduleCommitted(TaxiId taxi) override;
   void OnRequestCompleted(const RideRequest& request, TaxiId taxi) override;
 
-  /// The mobility clustering folds floating-point sums in update order, so
-  /// index updates from different simulation boundaries must not be merged
-  /// or reordered — the engine keeps this scheme on strict per-boundary
-  /// advancement.
-  bool IndexUpdatesOrderSensitive() const override { return true; }
-
-
   size_t IndexMemoryBytes() const override;
 
   /// Route planner (exposed for the routing-mode benches and tests).

@@ -43,17 +43,10 @@ inline const char* DispatchPhaseName(DispatchPhase phase) {
 /// Accumulated per-phase dispatch time for one dispatcher (== one run).
 /// Only the engine thread writes it — candidate evaluation fans out to the
 /// pool *inside* an attributed section, so the section timer itself never
-/// races. When `enabled` is false the scoped timer below never reads the
-/// clock, so an untimed run pays one branch per section.
+/// races. Timing is always on: two steady_clock reads per section.
 struct PhaseTimers {
-  bool enabled = false;
   std::array<double, kNumDispatchPhases> seconds{};
   std::array<int64_t, kNumDispatchPhases> calls{};
-
-  void Reset() {
-    seconds.fill(0.0);
-    calls.fill(0);
-  }
 
   double total_seconds() const {
     double total = 0.0;
@@ -66,11 +59,10 @@ struct PhaseTimers {
 class ScopedPhaseTimer {
  public:
   ScopedPhaseTimer(PhaseTimers& timers, DispatchPhase phase)
-      : timers_(timers), phase_(static_cast<size_t>(phase)) {
-    if (timers_.enabled) start_ = Clock::now();
-  }
+      : timers_(timers),
+        phase_(static_cast<size_t>(phase)),
+        start_(Clock::now()) {}
   ~ScopedPhaseTimer() {
-    if (!timers_.enabled) return;
     timers_.seconds[phase_] +=
         std::chrono::duration<double>(Clock::now() - start_).count();
     ++timers_.calls[phase_];

@@ -16,19 +16,11 @@ SimulationEngine::SimulationEngine(const RoadNetwork& network,
     : network_(network),
       dispatcher_(dispatcher),
       fleet_(fleet),
-      options_(options) {
+      options_(options),
+      snap_(network, std::max(50.0, options.encounter_radius_m)) {
   MTSHARE_CHECK(dispatcher != nullptr);
   MTSHARE_CHECK(fleet != nullptr);
-  if (options.serve_offline) {
-    snap_ = std::make_unique<GridIndex>(
-        network, std::max(50.0, options.encounter_radius_m));
-  }
   taxi_gen_.assign(fleet->size(), 0);
-  dispatcher_->set_fleet_sync(this);
-}
-
-SimulationEngine::~SimulationEngine() {
-  if (dispatcher_->fleet_sync() == this) dispatcher_->set_fleet_sync(nullptr);
 }
 
 Metrics SimulationEngine::Run(const std::vector<RideRequest>& requests) {
@@ -44,8 +36,6 @@ Metrics SimulationEngine::Run(RequestSource& source) {
   waiting_offline_.clear();
   offline_done_.clear();
   commit_horizon_ = 0.0;
-  deferred_pending_ = false;
-  last_deferred_ = 0.0;
   last_release_ = 0.0;
   heap_ = {};
   taxi_gen_.assign(fleet_->size(), 0);
@@ -55,52 +45,48 @@ Metrics SimulationEngine::Run(RequestSource& source) {
     UpdateIdleSet(taxi);
   }
 
+  // One ingest loop (DESIGN.md §12), after the batch windows of Luo et
+  // al. (arXiv 2004.02570): the window anchors at the first pending
+  // arrival; everything released before anchor + Δt joins the batch,
+  // which dispatches at window close. Δt = 0 makes each request its own
+  // window, flushed right after ingest so its decision is out before the
+  // next pull.
   const Seconds window = metrics_.serve.batch_window_ms / 1000.0;
+  std::vector<RequestId> queue;  // pending online requests, release order
+  std::vector<RequestId> hails;  // pending offline releases
+  Seconds window_close = 0.0;
+  bool open = false;
   RideRequest next;
-  if (window <= 0.0) {
-    // Per-request replay: each pull is one release boundary — the
-    // historical engine loop, fed lazily.
-    while (source.Next(&next)) {
-      Ingest(next);
-      ProcessBoundary(requests_.back());
+  while (source.Next(&next)) {
+    if (open && next.release_time >= window_close) {
+      FlushBatch(&queue, &hails, window_close);
+      open = false;
     }
-  } else {
-    // Batch-window ingest (Luo et al., arXiv 2004.02570): the window
-    // anchors at the first pending arrival; everything released before
-    // anchor + Δt joins the batch, which dispatches at window close.
-    std::vector<RequestId> queue;  // pending online requests, release order
-    std::vector<RequestId> hails;  // pending offline releases
-    Seconds window_close = 0.0;
-    bool open = false;
-    while (source.Next(&next)) {
-      if (open && next.release_time >= window_close) {
-        FlushBatch(&queue, &hails, window_close);
-        open = false;
-      }
-      Ingest(next);
-      const RideRequest& r = requests_.back();
-      if (!open) {
-        window_close = r.release_time + window;
-        open = true;
-      }
-      if (r.offline) {
-        hails.push_back(r.id);
-        continue;
-      }
-      if (options_.max_queue > 0 &&
-          static_cast<int64_t>(queue.size()) >= options_.max_queue) {
-        ++metrics_.serve.shed;
-        RequestRecord& rec = metrics_.record(r.id);
-        rec.shed = true;
-        if (options_.on_decision) options_.on_decision(r, rec);
-        continue;
-      }
+    Ingest(next);
+    const RideRequest& r = requests_.back();
+    if (!open) {
+      window_close = r.release_time + window;
+      open = true;
+    }
+    if (r.offline) {
+      hails.push_back(r.id);
+    } else if (options_.max_queue > 0 &&
+               static_cast<int64_t>(queue.size()) >= options_.max_queue) {
+      ++metrics_.serve.shed;
+      RequestRecord& rec = metrics_.record(r.id);
+      rec.shed = true;
+      if (options_.on_decision) options_.on_decision(r, rec);
+    } else {
       queue.push_back(r.id);
       metrics_.serve.queue_depth = std::max(
           metrics_.serve.queue_depth, static_cast<int64_t>(queue.size()));
     }
-    if (open) FlushBatch(&queue, &hails, window_close);
+    if (window <= 0.0) {
+      FlushBatch(&queue, &hails, window_close);
+      open = false;
+    }
   }
+  if (open) FlushBatch(&queue, &hails, window_close);
 
   // Drain: instead of a fixed margin past the last deadline, iterate to a
   // fixed point — every committed plan must play its route out (committed
@@ -108,8 +94,7 @@ Metrics SimulationEngine::Run(RequestSource& source) {
   // routes), and waiting hailers stay eligible until their pickup
   // deadlines pass.
   Seconds target = std::max(last_release_, commit_horizon_);
-  if (deferred_pending_) target = std::max(target, last_deferred_);
-  if (options_.serve_offline && dispatcher_->ServesOfflineRequests()) {
+  if (dispatcher_->ServesOfflineRequests()) {
     for (const RideRequest& r : requests_) {
       if (r.offline && !offline_done_[r.id]) {
         target = std::max(target, r.PickupDeadline());
@@ -153,34 +138,11 @@ void SimulationEngine::Ingest(const RideRequest& r) {
   last_release_ = r.release_time;
 }
 
-void SimulationEngine::ProcessBoundary(const RideRequest& r) {
-  if (CanDeferBoundary(r)) {
-    // The request is invisible to the dispatcher and nothing at this
-    // boundary can observe fleet positions — skip the advancement and
-    // let the next real boundary (or the drain) catch the fleet up.
-    ++metrics_.engine.boundaries_deferred;
-    deferred_pending_ = true;
-    last_deferred_ = std::max(last_deferred_, r.release_time);
-    return;
-  }
-  ++metrics_.engine.boundaries;
-  Advance(r.release_time);
-  deferred_pending_ = false;
-  if (r.offline) {
-    RegisterHailer(r);
-    return;  // invisible to the dispatcher until encountered
-  }
-  metrics_.serve.queue_depth = std::max<int64_t>(metrics_.serve.queue_depth, 1);
-  DispatchOne(r, r.release_time);
-}
-
 void SimulationEngine::FlushBatch(std::vector<RequestId>* queue,
                                   std::vector<RequestId>* hails,
                                   Seconds when) {
   ++metrics_.serve.batches;
-  ++metrics_.engine.boundaries;
   Advance(when);
-  deferred_pending_ = false;
   // Hailers start waiting before the online batch dispatches: they were on
   // the street the whole window, and a window-close assignment may route a
   // taxi right past them.
@@ -193,12 +155,10 @@ void SimulationEngine::FlushBatch(std::vector<RequestId>* queue,
 }
 
 void SimulationEngine::RegisterHailer(const RideRequest& r) {
-  if (!options_.serve_offline || !dispatcher_->ServesOfflineRequests()) {
-    return;
-  }
+  if (!dispatcher_->ServesOfflineRequests()) return;
   // Register the hailer at every vertex a passing driver could spot them
   // from.
-  for (VertexId v : snap_->VerticesInRadius(network_.coord(r.origin),
+  for (VertexId v : snap_.VerticesInRadius(network_.coord(r.origin),
                                             options_.encounter_radius_m)) {
     waiting_offline_[v].push_back(r.id);
   }
@@ -230,37 +190,6 @@ void SimulationEngine::DispatchOne(const RideRequest& r, Seconds now) {
   if (options_.on_decision) options_.on_decision(r, metrics_.record(r.id));
 }
 
-bool SimulationEngine::CanDeferBoundary(const RideRequest& r) const {
-  if (!r.offline) return false;
-  // Deferring is only sound when the boundary has no observable effect:
-  // the request is never registered as a hailer, no hailer is waiting to
-  // be encountered, no cruise offers would be made, and the scheme's
-  // index tolerates per-span batching of movement updates.
-  if (options_.serve_offline && dispatcher_->ServesOfflineRequests()) {
-    return false;
-  }
-  if (!waiting_offline_.empty()) return false;
-  if (dispatcher_->IndexUpdatesOrderSensitive()) return false;
-  if (options_.serve_offline && dispatcher_->IdleCruisingEnabled()) {
-    return false;
-  }
-  return true;
-}
-
-void SimulationEngine::SyncTaxi(TaxiId id, Seconds now) {
-  if (id == advancing_) return;  // re-entrant: already mid-advance
-  TaxiState& taxi = (*fleet_)[id];
-  if (!taxi.HasRoute() || taxi.route.time(taxi.route_pos + 1) > now) {
-    return;  // nothing due: the stored state is already current
-  }
-  ++metrics_.engine.lazy_syncs;
-  advancing_ = id;
-  AdvanceTaxi(taxi, now);
-  advancing_ = kInvalidTaxi;
-  RearmTaxi(taxi);
-  UpdateIdleSet(taxi);
-}
-
 void SimulationEngine::Advance(Seconds now) {
   due_.clear();
   while (!heap_.empty() && heap_.top().time <= now) {
@@ -275,13 +204,11 @@ void SimulationEngine::Advance(Seconds now) {
   std::sort(due_.begin(), due_.end());
   for (TaxiId id : due_) {
     TaxiState& taxi = (*fleet_)[id];
-    advancing_ = id;
     AdvanceTaxi(taxi, now);
-    advancing_ = kInvalidTaxi;
     RearmTaxi(taxi);
     UpdateIdleSet(taxi);
   }
-  if (options_.serve_offline && dispatcher_->IdleCruisingEnabled()) {
+  if (dispatcher_->IdleCruisingEnabled()) {
     // Cruise offers go to every idle routeless taxi in id order, which
     // fixes the sampler's rng stream and the per-taxi rate limiter. Offers
     // mutate the set (ApplyPlan), so iterate a snapshot.
@@ -333,8 +260,7 @@ void SimulationEngine::AdvanceTaxi(TaxiState& taxi, Seconds now) {
                   taxi.event_arrivals[taxi.event_pos] <=
                       taxi.location_time + 1e-6;
     }
-    bool probe_due = options_.serve_offline &&
-                     dispatcher_->ServesOfflineRequests() &&
+    bool probe_due = dispatcher_->ServesOfflineRequests() &&
                      waiting_offline_.count(taxi.location) > 0;
     if (event_due) {
       if (taxi.route_pos - 1 > batch_start) {
@@ -457,7 +383,7 @@ void SimulationEngine::SettleEpisodeFor(TaxiState& taxi) {
 }
 
 void SimulationEngine::CheckOfflineEncounters(TaxiState& taxi, Seconds now) {
-  if (!options_.serve_offline || !dispatcher_->ServesOfflineRequests()) return;
+  if (!dispatcher_->ServesOfflineRequests()) return;
   auto it = waiting_offline_.find(taxi.location);
   if (it == waiting_offline_.end()) return;
   auto& waiting = it->second;

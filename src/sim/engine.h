@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <set>
 #include <unordered_map>
@@ -19,17 +18,14 @@ namespace mtshare {
 class RequestSource;
 
 struct EngineOptions {
-  /// Enables offline-request encounters for schemes that support them.
-  bool serve_offline = true;
   /// A passing driver notices a street-hailing passenger within this
   /// distance of the taxi's current vertex (vertex-exact would require the
   /// taxi to drive over the exact corner the passenger stands on).
   double encounter_radius_m = 200.0;
   /// Batch-window ingest discipline Δt, simulated milliseconds (DESIGN.md
   /// §12): arrivals are collected from the first pending release for Δt and
-  /// dispatched together when the window closes. <= 0 dispatches each
-  /// request at its own release boundary — byte-identical to the
-  /// pre-window engine loop.
+  /// dispatched together when the window closes. <= 0 makes every request
+  /// a one-request window, flushed as soon as it is ingested.
   double batch_window_ms = 0.0;
   /// Admission cap on the pending dispatch queue (0 = unbounded; only
   /// meaningful with a batch window). Online requests arriving while the
@@ -52,36 +48,27 @@ struct EngineOptions {
 /// measurements stay clean).
 ///
 /// The fleet advances through a min-heap of each taxi's next route-arc
-/// arrival: a request boundary pops only the taxis with movement due and
-/// batches their index updates per advancement span. The engine also
-/// implements the dispatcher's FleetSync hook so matching code can
-/// materialize a taxi's state on demand before reading it.
-class SimulationEngine : public FleetSync {
+/// arrival: every batch-window flush pops only the taxis with movement due
+/// and batches their index updates per advancement span. The fleet is
+/// always current when the dispatcher runs.
+class SimulationEngine {
  public:
   /// `fleet` is owned by the caller (the dispatcher reads it); the engine
-  /// mutates it while running and registers itself as the dispatcher's
-  /// FleetSync for the duration of its lifetime.
+  /// mutates it while running.
   SimulationEngine(const RoadNetwork& network, Dispatcher* dispatcher,
                    std::vector<TaxiState>* fleet,
                    const EngineOptions& options);
-  ~SimulationEngine() override;
 
   /// Runs a pulled request stream (sorted by release time, ids dense from
   /// 0 — sources self-validate; the engine CHECKs) to completion and
-  /// returns the collected metrics. The source is consumed. With a
-  /// positive batch window the engine collects arrivals per window and
-  /// dispatches each batch at window close; otherwise every request
-  /// dispatches at its own release boundary.
+  /// returns the collected metrics. The source is consumed. Arrivals are
+  /// collected per batch window and dispatched at window close; with
+  /// Δt = 0 each request is its own window, decided before the next pull.
   Metrics Run(RequestSource& source);
 
   /// Vector convenience wrapper: replays `requests` through a
-  /// VectorRequestSource — byte-identical to the historical eager loop.
+  /// VectorRequestSource.
   Metrics Run(const std::vector<RideRequest>& requests);
-
-  /// FleetSync: brings one taxi up to date with simulated time `now`.
-  /// No-op for taxis with no movement due and for the taxi currently being
-  /// advanced (re-entrant calls from encounter dispatch).
-  void SyncTaxi(TaxiId taxi, Seconds now) override;
 
  private:
   /// One heap entry: the absolute arrival time of `taxi`'s next route arc.
@@ -116,17 +103,10 @@ class SimulationEngine : public FleetSync {
   void UpdateIdleSet(const TaxiState& taxi);
   /// Extends the drain horizon to cover a freshly committed plan's route.
   void NoteCommit(const TaxiState& taxi);
-  /// Whether this request's release boundary can skip fleet advancement
-  /// entirely (no observable effect until the next real boundary).
-  bool CanDeferBoundary(const RideRequest& request) const;
   /// Appends one pulled request to the run state (record + lookup tables).
   void Ingest(const RideRequest& request);
-  /// Per-request boundary processing (Δt = 0): advance, then register the
-  /// hailer or dispatch — the historical engine loop body.
-  void ProcessBoundary(const RideRequest& request);
   /// Advances to the window close and dispatches the collected batch
-  /// (hailers registered first, then the online queue through the
-  /// dispatcher's batch entry point).
+  /// (hailers registered first, then the online queue in release order).
   void FlushBatch(std::vector<RequestId>* queue,
                   std::vector<RequestId>* hails, Seconds when);
   /// Registers an offline request as a waiting street hailer.
@@ -156,7 +136,7 @@ class SimulationEngine : public FleetSync {
   /// Offline request lifecycle: 0 = waiting, 1 = served or expired.
   std::vector<uint8_t> offline_done_;
   /// Vertex snapping index for encounter-radius registration.
-  std::unique_ptr<GridIndex> snap_;
+  GridIndex snap_;
 
   // --- advancement state ---
   std::priority_queue<PendingArc, std::vector<PendingArc>, PendingArcLater>
@@ -172,15 +152,8 @@ class SimulationEngine : public FleetSync {
   /// Latest route tail among committed plans that carry events; the drain
   /// target must reach it so every passenger is delivered.
   Seconds commit_horizon_ = 0.0;
-  /// Deferred-boundary bookkeeping: the fleet may lag behind the newest
-  /// registered release when boundaries were skipped.
-  bool deferred_pending_ = false;
-  Seconds last_deferred_ = 0.0;
   /// Latest ingested release time (the drain must reach it).
   Seconds last_release_ = 0.0;
-  /// Taxi currently inside AdvanceTaxi (re-entrancy guard
-  /// for SyncTaxi calls made from encounter dispatch).
-  TaxiId advancing_ = kInvalidTaxi;
 };
 
 }  // namespace mtshare

@@ -39,19 +39,11 @@ struct RequestRecord {
 
 /// Counters describing how the simulation core advanced the fleet.
 struct EngineStats {
-  /// Heap entries popped while advancing to request boundaries (stale
+  /// Heap entries popped while advancing to batch-window flushes (stale
   /// generation entries included — they are popped and discarded).
   int64_t heap_pops = 0;
-  /// Taxis materialized on demand via the FleetSync hook, outside the
-  /// engine's own advancement loop.
-  int64_t lazy_syncs = 0;
   /// Route arcs stepped across the fleet.
   int64_t arcs_stepped = 0;
-  /// Request release boundaries processed / skipped by the deferral gate
-  /// (a deferred boundary registers its request without touching the
-  /// fleet; the next non-deferrable boundary catches the fleet up).
-  int64_t boundaries = 0;
-  int64_t boundaries_deferred = 0;
   /// Fixed-point iterations of the end-of-run drain (each round extends
   /// the target to the latest committed route tail).
   int64_t drain_rounds = 0;
@@ -59,21 +51,21 @@ struct EngineStats {
 
 /// Ingest/admission counters of the streaming dispatch path — the run
 /// report's schema-5 "serve" block. Every run populates them: the classic
-/// vector replay is a batch window of 0 ms with one request per dispatch
-/// and nothing shed.
+/// vector replay is a batch window of 0 ms with one request per flush and
+/// nothing shed.
 struct ServeStats {
-  /// Configured batch window Δt, simulated milliseconds (0 = per-request
-  /// dispatch at each release boundary).
+  /// Configured batch window Δt, simulated milliseconds (0 = one-request
+  /// windows, each flushed at its own release).
   double batch_window_ms = 0.0;
-  /// Batch-window flushes (0 in per-request mode).
+  /// Batch-window flushes (one per request when Δt = 0).
   int64_t batches = 0;
   /// Online requests handed to the dispatcher.
   int64_t admitted = 0;
   /// Online requests dropped by the admission cap (EngineOptions::max_queue)
   /// without ever reaching the dispatcher.
   int64_t shed = 0;
-  /// Peak depth of the pending dispatch queue (1 in per-request mode, the
-  /// largest batch otherwise; 0 when no online request arrived).
+  /// Peak depth of the pending dispatch queue (1 when Δt = 0, the largest
+  /// batch otherwise; 0 when no online request arrived).
   int64_t queue_depth = 0;
 };
 
@@ -152,7 +144,7 @@ class Metrics {
   /// Dispatcher time spent probing offline encounters that were *not*
   /// served — measured by the engine but attached to no request record.
   double offline_probe_ms = 0.0;
-  /// Simulation-core counters (heap pops, lazy syncs, arcs stepped, ...).
+  /// Simulation-core counters (heap pops, arcs stepped, drain rounds).
   EngineStats engine;
   /// Streaming-ingest counters (batch windows, admission, backpressure).
   ServeStats serve;

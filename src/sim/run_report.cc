@@ -133,8 +133,11 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
                           int indent) {
   JsonWriter w(indent);
   w.BeginObject();
+  // schema_version 8 drops the engine block's lazy-sync and boundary
+  // counters and phases.enabled: the engine has one eager ingest loop
+  // (serve.batches counts its flushes) and phase timing is always on.
   w.Key("schema_version");
-  w.Int(7);
+  w.Int(8);
   w.Key("experiment");
   w.String(context.experiment);
   w.Key("scheme");
@@ -174,14 +177,11 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
   // Per-phase dispatch breakdown, reconciled against the engine's total
   // dispatcher wall-clock: attributed_ms + unattributed_ms ==
   // dispatch_total_ms (the residual is glue and index bookkeeping between
-  // the instrumented sections — or timing disabled, in which case every
-  // phase reads zero).
+  // the instrumented sections).
   const double attributed_ms = m.phases.total_seconds() * 1e3;
   const double total_ms = m.TotalDispatchMs();
   w.Key("phases");
   w.BeginObject();
-  w.Key("enabled");
-  w.Int(m.phases.enabled ? 1 : 0);
   for (size_t i = 0; i < kNumDispatchPhases; ++i) {
     w.Key(DispatchPhaseName(static_cast<DispatchPhase>(i)));
     w.BeginObject();
@@ -268,14 +268,8 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
   w.BeginObject();
   w.Key("heap_pops");
   w.Int(m.engine.heap_pops);
-  w.Key("lazy_syncs");
-  w.Int(m.engine.lazy_syncs);
   w.Key("arcs_stepped");
   w.Int(m.engine.arcs_stepped);
-  w.Key("boundaries");
-  w.Int(m.engine.boundaries);
-  w.Key("boundaries_deferred");
-  w.Int(m.engine.boundaries_deferred);
   w.Key("drain_rounds");
   w.Int(m.engine.drain_rounds);
   w.EndObject();

@@ -155,6 +155,8 @@ INSTANTIATE_TEST_SUITE_P(
                    0xc2f07b28eb801bd3ull},
         GoldenCase{"small_mt_share_pro_29", kPro, 16, 29, true, 160, 0.2, 24,
                    0x7974d4d225496a1cull},
+        GoldenCase{"small_no_sharing_73", kNo, 16, 73, true, 160, 0.2, 24,
+                   0x08498aba74a1fba4ull},
         GoldenCase{"bench48_mt_share_peak", kMt, 48, 61, true, 400, 0.0, 60,
                    0x847d7f60b4030566ull},
         GoldenCase{"bench48_mt_share_pro_nonpeak", kPro, 48, 67, false, 400,

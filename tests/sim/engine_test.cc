@@ -4,6 +4,7 @@
 
 #include "matching/no_sharing.h"
 #include "matching/t_share.h"
+#include "sim/request_source.h"
 #include "sim/taxi.h"
 
 namespace mtshare {
@@ -35,11 +36,8 @@ class EngineLineTest : public ::testing::Test {
   EngineLineTest() : net_(LineCity()), oracle_(net_) {}
 
   Metrics RunWith(Dispatcher* d, std::vector<TaxiState>* fleet,
-                  const std::vector<RideRequest>& requests,
-                  bool serve_offline = true) {
-    EngineOptions opts;
-    opts.serve_offline = serve_offline;
-    SimulationEngine engine(net_, d, fleet, opts);
+                  const std::vector<RideRequest>& requests) {
+    SimulationEngine engine(net_, d, fleet, EngineOptions{});
     return engine.Run(requests);
   }
 
@@ -134,20 +132,6 @@ TEST_F(EngineLineTest, OfflineRequestServedOnEncounter) {
   EXPECT_DOUBLE_EQ(off.pickup_time, 40.0);
 }
 
-TEST_F(EngineLineTest, OfflineIgnoredWhenDisabled) {
-  std::vector<TaxiState> fleet(1);
-  fleet[0].id = 0;
-  fleet[0].capacity = 3;
-  fleet[0].location = 0;
-  TShareDispatcher dispatcher(net_, &oracle_, &fleet, config_);
-  std::vector<RideRequest> reqs = {
-      MakeRequest(0, 0, 9, 0.0, 90.0, 2.0),
-      MakeRequest(1, 4, 8, 10.0, 40.0, 2.5, /*offline=*/true)};
-  Metrics m = RunWith(&dispatcher, &fleet, reqs, /*serve_offline=*/false);
-  EXPECT_EQ(m.ServedOffline(), 0);
-  EXPECT_EQ(m.ServedOnline(), 1);
-}
-
 TEST_F(EngineLineTest, OfflineExpiresWhenTaxiTooLate) {
   std::vector<TaxiState> fleet(1);
   fleet[0].id = 0;
@@ -188,6 +172,87 @@ TEST_F(EngineLineTest, CapacityLimitsConcurrentRiders) {
                                    MakeRequest(1, 2, 7, 5.0, 50.0, 1.2)};
   Metrics m = RunWith(&dispatcher, &fleet, reqs);
   EXPECT_EQ(m.ServedRequests(), 1);
+}
+
+/// Ingest-loop tests share the line-city fixture.
+using EngineTest = EngineLineTest;
+
+TEST_F(EngineTest, EveryReleaseIsABoundary) {
+  std::vector<TaxiState> fleet(2);
+  for (TaxiId i = 0; i < 2; ++i) {
+    fleet[i].id = i;
+    fleet[i].capacity = 3;
+    fleet[i].location = 9 * i;
+  }
+  NoSharingDispatcher dispatcher(net_, &oracle_, &fleet, config_);
+  // Ten releases, every fifth a street hail (20%), some sharing a release
+  // time: at Δt = 0 each one is its own window, hails included.
+  std::vector<RideRequest> reqs;
+  for (RequestId i = 0; i < 10; ++i) {
+    reqs.push_back(MakeRequest(i, i % 9, (i + 4) % 9, 15.0 * (i / 2), 40.0,
+                               2.0, /*offline=*/i % 5 == 2));
+  }
+  Metrics m = RunWith(&dispatcher, &fleet, reqs);
+  EXPECT_EQ(m.serve.batches, static_cast<int64_t>(reqs.size()));
+  EXPECT_EQ(m.serve.admitted, 8);
+  EXPECT_EQ(m.serve.queue_depth, 1);
+}
+
+/// Replays a request vector and records, at every pull, how many decisions
+/// the engine had delivered so far.
+class CountingSource : public RequestSource {
+ public:
+  CountingSource(const std::vector<RideRequest>* requests,
+                 const int64_t* decisions)
+      : requests_(requests), decisions_(decisions) {}
+
+  std::vector<int64_t> decisions_at_pull;
+
+ protected:
+  bool Produce(RideRequest* out) override {
+    decisions_at_pull.push_back(*decisions_);
+    if (pos_ == requests_->size()) return false;
+    *out = (*requests_)[pos_++];
+    return true;
+  }
+
+ private:
+  const std::vector<RideRequest>* requests_;
+  const int64_t* decisions_;
+  size_t pos_ = 0;
+};
+
+TEST_F(EngineTest, ZeroWindowDecidesBeforeTheNextPull) {
+  std::vector<TaxiState> fleet(2);
+  for (TaxiId i = 0; i < 2; ++i) {
+    fleet[i].id = i;
+    fleet[i].capacity = 3;
+    fleet[i].location = 9 * i;
+  }
+  TShareDispatcher dispatcher(net_, &oracle_, &fleet, config_);
+  std::vector<RideRequest> reqs = {MakeRequest(0, 1, 8, 0.0, 70.0, 2.0),
+                                   MakeRequest(1, 2, 7, 5.0, 50.0, 2.0),
+                                   MakeRequest(2, 8, 3, 5.0, 50.0, 2.0),
+                                   MakeRequest(3, 6, 0, 30.0, 60.0, 1.5)};
+  int64_t decisions = 0;
+  EngineOptions opts;
+  opts.on_decision = [&decisions](const RideRequest& r,
+                                  const RequestRecord&) {
+    EXPECT_EQ(r.id, decisions);  // in release order, one per request
+    ++decisions;
+  };
+  SimulationEngine engine(net_, &dispatcher, &fleet, opts);
+  CountingSource source(&reqs, &decisions);
+  Metrics m = engine.Run(source);
+  // Pull k + 1 (and the final, empty pull) happens only after request k
+  // was decided: a streaming client gets each answer before the engine
+  // reads the next line.
+  ASSERT_EQ(source.decisions_at_pull.size(), reqs.size() + 1);
+  for (size_t k = 0; k < source.decisions_at_pull.size(); ++k) {
+    EXPECT_EQ(source.decisions_at_pull[k], static_cast<int64_t>(k))
+        << "pull " << k;
+  }
+  EXPECT_EQ(m.serve.batches, static_cast<int64_t>(reqs.size()));
 }
 
 TEST(ComputeRouteTimesTest, AccumulatesArcCosts) {

@@ -40,7 +40,7 @@ bool HasKey(const std::string& json, const std::string& key) {
 }
 
 void ValidateReportSchema(const std::string& json) {
-  EXPECT_EQ(NumberAfter(json, "", "schema_version"), 7.0);
+  EXPECT_EQ(NumberAfter(json, "", "schema_version"), 8.0);
   for (const char* key :
        {"experiment", "scheme", "window", "num_taxis", "num_requests",
         "seed", "decision_digest", "requests", "response_ms", "waiting_min",
@@ -88,16 +88,15 @@ void ValidateReportSchema(const std::string& json) {
   }
 
   // Simulation-core counters (added in schema_version 4). A run with any
-  // requests crosses at least one release boundary and one drain round.
-  for (const char* key : {"heap_pops", "lazy_syncs", "arcs_stepped",
-                          "boundaries", "boundaries_deferred",
-                          "drain_rounds"}) {
+  // requests ends in at least one drain round.
+  for (const char* key : {"heap_pops", "arcs_stepped", "drain_rounds"}) {
     EXPECT_GE(NumberAfter(json, "engine", key), 0.0) << key;
   }
   EXPECT_GE(NumberAfter(json, "engine", "drain_rounds"), 1.0);
 
   // Streaming-ingest counters (added in schema_version 5). Classic runs
-  // report a zero batch window with every request admitted, nothing shed.
+  // report a zero batch window with one flush per request, every online
+  // request admitted and nothing shed.
   for (const char* key : {"batch_window_ms", "batches", "admitted", "shed",
                           "queue_depth"}) {
     EXPECT_GE(NumberAfter(json, "serve", key), 0.0) << key;
@@ -128,17 +127,15 @@ void ValidateReportSchema(const std::string& json) {
   EXPECT_GE(attributed, 0.0);
   EXPECT_GE(total, 0.0);
   EXPECT_NEAR(attributed + unattributed, total, 1e-3 * (1.0 + total));
-  if (NumberAfter(json, "phases", "enabled") == 1.0) {
-    EXPECT_LE(attributed, total * 1.15 + 5.0);
-    double phase_sum = 0.0;
-    for (const char* phase :
-         {"candidate_search", "filter", "insertion", "routing"}) {
-      double ms = NumberAfter(json, phase, "ms");
-      EXPECT_GE(ms, 0.0) << phase;
-      phase_sum += ms;
-    }
-    EXPECT_NEAR(phase_sum, attributed, 1e-3 * (1.0 + attributed));
+  EXPECT_LE(attributed, total * 1.15 + 5.0);
+  double phase_sum = 0.0;
+  for (const char* phase :
+       {"candidate_search", "filter", "insertion", "routing"}) {
+    double ms = NumberAfter(json, phase, "ms");
+    EXPECT_GE(ms, 0.0) << phase;
+    phase_sum += ms;
   }
+  EXPECT_NEAR(phase_sum, attributed, 1e-3 * (1.0 + attributed));
 }
 
 class RunReportTest : public ::testing::Test {
@@ -164,12 +161,11 @@ class RunReportTest : public ::testing::Test {
         net_, scenario_.HistoricalOdPairs(), config_);
   }
 
-  Metrics RunWithTiming(SchemeKind scheme) {
+  Metrics RunScheme(SchemeKind scheme) {
     ScenarioSpec spec;
     spec.scheme = scheme;
     spec.requests = &scenario_.requests;
     spec.num_taxis = 25;
-    spec.collect_phase_timing = true;
     Result<Metrics> r = system_->RunScenario(spec);
     EXPECT_TRUE(r.ok());
     return std::move(r).value();
@@ -198,7 +194,7 @@ TEST_F(RunReportTest, SchemaIsValidForEveryScheme) {
   for (SchemeKind scheme :
        {SchemeKind::kNoSharing, SchemeKind::kTShare, SchemeKind::kPGreedyDp,
         SchemeKind::kMtShare, SchemeKind::kMtSharePro}) {
-    Metrics m = RunWithTiming(scheme);
+    Metrics m = RunScheme(scheme);
     std::string json = RunReportJson(Context(), m);
     SCOPED_TRACE(SchemeName(scheme));
     ValidateReportSchema(json);
@@ -208,7 +204,6 @@ TEST_F(RunReportTest, SchemaIsValidForEveryScheme) {
                         "\""),
               std::string::npos)
         << digest;
-    EXPECT_EQ(NumberAfter(json, "phases", "enabled"), 1.0);
     // Something actually dispatched, so at least one phase saw calls.
     double calls = 0.0;
     for (const char* phase :
@@ -228,22 +223,8 @@ TEST_F(RunReportTest, SchemaIsValidForEveryScheme) {
   }
 }
 
-TEST_F(RunReportTest, DisabledTimingReportsZeroPhases) {
-  ScenarioSpec spec;
-  spec.scheme = SchemeKind::kMtShare;
-  spec.requests = &scenario_.requests;
-  spec.num_taxis = 25;
-  spec.collect_phase_timing = false;
-  Result<Metrics> r = system_->RunScenario(spec);
-  ASSERT_TRUE(r.ok());
-  std::string json = RunReportJson(Context(), r.value());
-  EXPECT_EQ(NumberAfter(json, "phases", "enabled"), 0.0);
-  EXPECT_EQ(NumberAfter(json, "phases", "attributed_ms"), 0.0);
-  ValidateReportSchema(json);
-}
-
 TEST_F(RunReportTest, SingleLineModeHasNoNewlines) {
-  Metrics m = RunWithTiming(SchemeKind::kMtShare);
+  Metrics m = RunScheme(SchemeKind::kMtShare);
   std::string line = RunReportJson(Context(), m, /*indent=*/0);
   EXPECT_EQ(line.find('\n'), std::string::npos);
   EXPECT_EQ(line.front(), '{');
@@ -263,7 +244,7 @@ TEST_F(RunReportTest, SingleLineModeHasNoNewlines) {
 }
 
 TEST_F(RunReportTest, EscapesStringsAndAppendsLines) {
-  Metrics m = RunWithTiming(SchemeKind::kNoSharing);
+  Metrics m = RunScheme(SchemeKind::kNoSharing);
   RunReportContext ctx = Context();
   ctx.experiment = "quo\"te\\back\nline";
   std::string json = RunReportJson(ctx, m);
@@ -287,7 +268,7 @@ TEST_F(RunReportTest, EscapesStringsAndAppendsLines) {
 }
 
 TEST_F(RunReportTest, WriteRunReportFailsOnBadPath) {
-  Metrics m = RunWithTiming(SchemeKind::kNoSharing);
+  Metrics m = RunScheme(SchemeKind::kNoSharing);
   Status s = WriteRunReport("/nonexistent-dir/report.json", Context(), m);
   EXPECT_FALSE(s.ok());
 }
@@ -314,7 +295,6 @@ TEST(MtshareSimCliTest, ReportFlagEmitsValidJson) {
   ValidateReportSchema(json);
   EXPECT_EQ(NumberAfter(json, "", "num_taxis"), 20.0);
   EXPECT_EQ(NumberAfter(json, "", "num_requests"), 120.0);
-  EXPECT_EQ(NumberAfter(json, "phases", "enabled"), 1.0);
   std::remove(path.c_str());
 }
 

@@ -55,19 +55,16 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <string>
 
+#include "cli_flags.h"
 #include "common/histogram.h"
-#include "common/string_util.h"
 #include "core/mtshare_system.h"
-#include "demand/trip_io.h"
-#include "graph/graph_generators.h"
-#include "graph/graph_io.h"
 #include "sim/request_source.h"
 #include "sim/run_report.h"
 
 using namespace mtshare;
+using namespace mtshare::cli;
 
 namespace {
 
@@ -77,98 +74,6 @@ const char* const kFlags[] = {
     "threads", "oracle", "rows", "cols", "network", "historical", "window",
     "batch-window-ms", "max-queue", "gauge-every", "input", "report",
 };
-
-bool KnownFlag(const std::string& key) {
-  for (const char* flag : kFlags) {
-    if (key == flag) return true;
-  }
-  return false;
-}
-
-/// Parses --key=value flags. Positional arguments and unknown keys are
-/// errors, reported on stderr with the offending argument.
-std::map<std::string, std::string> ParseArgs(int argc, char** argv,
-                                             bool* ok) {
-  std::map<std::string, std::string> args;
-  *ok = true;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unrecognized argument: %s\n", arg.c_str());
-      *ok = false;
-      continue;
-    }
-    const size_t eq = arg.find('=');
-    const std::string key = arg.substr(2, eq == std::string::npos
-                                              ? std::string::npos
-                                              : eq - 2);
-    if (!KnownFlag(key)) {
-      std::fprintf(stderr, "unknown flag: --%s\n", key.c_str());
-      *ok = false;
-      continue;
-    }
-    args[key] = eq == std::string::npos ? "1" : arg.substr(eq + 1);
-  }
-  return args;
-}
-
-/// Strict numeric flag lookup: malformed values ("abc", "12x", "") are a
-/// hard error instead of silently becoming 0 via atoi-style parsing.
-double GetD(const std::map<std::string, std::string>& args,
-            const std::string& key, double fallback, bool* ok) {
-  auto it = args.find(key);
-  if (it == args.end()) return fallback;
-  double value = 0.0;
-  if (!ParseDouble(Trim(it->second), &value)) {
-    std::fprintf(stderr, "invalid numeric value for --%s: '%s'\n",
-                 key.c_str(), it->second.c_str());
-    *ok = false;
-    return fallback;
-  }
-  return value;
-}
-
-/// Strict non-negative integer flag (counts: taxis, threads, ...).
-int32_t GetCount(const std::map<std::string, std::string>& args,
-                 const std::string& key, int32_t fallback, bool* ok) {
-  auto it = args.find(key);
-  if (it == args.end()) return fallback;
-  int64_t value = 0;
-  if (!ParseInt64(Trim(it->second), &value) || value < 0 ||
-      value > INT32_MAX) {
-    std::fprintf(stderr,
-                 "invalid value for --%s: '%s' (want an integer >= 0)\n",
-                 key.c_str(), it->second.c_str());
-    *ok = false;
-    return fallback;
-  }
-  return static_cast<int32_t>(value);
-}
-
-std::string GetS(const std::map<std::string, std::string>& args,
-                 const std::string& key, const std::string& fallback) {
-  auto it = args.find(key);
-  return it == args.end() ? fallback : it->second;
-}
-
-/// Strict unsigned 64-bit flag (RNG seeds). A double-based parse would
-/// silently round seeds above 2^53 and make negative inputs UB on the
-/// cast; ParseUint64 keeps full precision up to UINT64_MAX and rejects
-/// signs and garbage outright.
-uint64_t GetU64(const std::map<std::string, std::string>& args,
-                const std::string& key, uint64_t fallback, bool* ok) {
-  auto it = args.find(key);
-  if (it == args.end()) return fallback;
-  uint64_t value = 0;
-  if (!ParseUint64(Trim(it->second), &value)) {
-    std::fprintf(stderr,
-                 "invalid value for --%s: '%s' (want an unsigned integer)\n",
-                 key.c_str(), it->second.c_str());
-    *ok = false;
-    return fallback;
-  }
-  return value;
-}
 
 }  // namespace
 
@@ -180,91 +85,30 @@ int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
 #endif
   bool ok = true;
-  auto args = ParseArgs(argc, argv, &ok);
+  auto args = ParseArgs(argc, argv, kFlags, &ok);
   if (!ok || args.count("help")) {
     std::fprintf(stderr,
                  "see the header of tools/mtshare_serve.cc for usage\n");
     return args.count("help") ? 0 : 2;
   }
 
-  std::optional<SchemeKind> scheme =
-      ParseScheme(GetS(args, "scheme", "mt-share"));
-  if (!scheme.has_value()) {
-    std::fprintf(stderr, "unknown --scheme\n");
-    return 2;
-  }
-  const bool peak = GetS(args, "window", "peak") == "peak";
-  const uint64_t seed = GetU64(args, "seed", 42, &ok);
-
-  RoadNetwork network;
-  std::string network_file = GetS(args, "network", "");
-  GridCityOptions gopt;
-  gopt.rows = GetCount(args, "rows", 48, &ok);
-  gopt.cols = GetCount(args, "cols", 48, &ok);
-  gopt.seed = seed;
-
-  SystemConfig config;
-  config.kappa = GetCount(args, "kappa", 120, &ok);
-  config.kt = std::min<int32_t>(config.kappa, 20);
-  config.rho = GetD(args, "rho", 1.3, &ok);
-  config.taxi_capacity = GetCount(args, "capacity", 3, &ok);
-  config.matching.gamma_max_m = GetD(args, "gamma", 2500.0, &ok);
-  if (!ParseOracleBackend(GetS(args, "oracle", "auto"),
-                          &config.oracle.backend)) {
-    std::fprintf(stderr, "unknown --oracle (want auto|exact|lru|ch)\n");
-    return 2;
-  }
-  config.seed = seed;
-
-  const int32_t num_taxis = GetCount(args, "taxis", 150, &ok);
-  const int32_t num_threads = GetCount(args, "threads", 1, &ok);
+  SystemFlags flags;
+  if (!ReadSystemFlags(args, &flags, &ok)) return 2;
   const int32_t historical = GetCount(args, "historical", 40000, &ok);
-  const double batch_window_ms = GetD(args, "batch-window-ms", 0.0, &ok);
-  if (ok && batch_window_ms < 0.0) {
-    std::fprintf(stderr, "--batch-window-ms must be >= 0\n");
-    ok = false;
-  }
-  const int32_t max_queue = GetCount(args, "max-queue", 0, &ok);
   const int32_t gauge_every = GetCount(args, "gauge-every", 1000, &ok);
   if (!ok) return 2;  // every malformed flag already printed its error
 
-  Status valid = config.Validate();
-  if (!valid.ok()) {
-    std::fprintf(stderr, "bad configuration: %s\n", valid.ToString().c_str());
-    return 2;
-  }
-
-  if (!network_file.empty()) {
-    Result<RoadNetwork> loaded = LoadEdgeList(network_file);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "failed to load network: %s\n",
-                   loaded.status().ToString().c_str());
-      return 1;
-    }
-    network = std::move(loaded).value();
-    network = ExtractLargestScc(network);
-  } else {
-    network = MakeGridCity(gopt);
-  }
-
+  RoadNetwork network;
+  if (!LoadCity(flags, &network)) return 1;
   // Historical trips only — the request stream itself arrives on stdin.
-  DemandModelOptions dopt;
-  dopt.day = peak ? DayType::kWorkday : DayType::kWeekend;
-  dopt.seed = seed + 1;
-  DemandModel demand(network, dopt);
-  OracleOptions scratch;
-  if (network.num_vertices() > scratch.max_exact_vertices) {
-    scratch.backend = OracleBackend::kLru;
-  }
-  DistanceOracle scratch_oracle(network, scratch);
   ScenarioOptions sopt;
   sopt.num_requests = 0;
   sopt.num_historical_trips = historical;
-  sopt.seed = seed + 2;
-  Scenario scenario = MakeScenario(network, demand, scratch_oracle, sopt);
+  sopt.seed = flags.seed + 2;
+  Scenario scenario = MakeCliScenario(network, flags, sopt);
 
-  auto system =
-      MTShareSystem::Create(network, scenario.HistoricalOdPairs(), config);
+  auto system = MTShareSystem::Create(network, scenario.HistoricalOdPairs(),
+                                      flags.config);
   if (!system.ok()) {
     std::fprintf(stderr, "system: %s\n", system.status().ToString().c_str());
     return 2;
@@ -287,7 +131,7 @@ int main(int argc, char** argv) {
   // bounds guard leaves out-of-range vertices for the source's validation,
   // which reports a line-tagged error instead of crashing the oracle.
   DistanceOracle& oracle = system.value()->oracle();
-  const double rho = config.rho;
+  const double rho = flags.config.rho;
   const int64_t num_vertices = network.num_vertices();
   StreamSourceOptions source_options;
   source_options.num_vertices = num_vertices;
@@ -319,13 +163,13 @@ int main(int argc, char** argv) {
   const auto t0 = std::chrono::steady_clock::now();
 
   ScenarioSpec spec;
-  spec.scheme = *scheme;
+  spec.scheme = flags.scheme;
   spec.source = &source;
-  spec.num_taxis = num_taxis;
-  spec.fleet_seed = seed + 3;
-  spec.num_threads = num_threads;
-  spec.batch_window_ms = batch_window_ms;
-  spec.max_queue = max_queue;
+  spec.num_taxis = flags.num_taxis;
+  spec.fleet_seed = flags.seed + 3;
+  spec.num_threads = flags.num_threads;
+  spec.batch_window_ms = flags.batch_window_ms;
+  spec.max_queue = flags.max_queue;
   spec.on_decision = [&](const RideRequest& r, const RequestRecord& rec) {
     ++decisions;
     int written = 0;
@@ -376,7 +220,8 @@ int main(int argc, char** argv) {
                "[serve] done scheme=%s ingested=%lld served=%d "
                "(online=%d offline=%d) shed=%lld p50=%.3fms p99=%.3fms "
                "batches=%lld queue_depth=%lld exec_s=%.2f\n",
-               SchemeName(*scheme), static_cast<long long>(source.produced()),
+               SchemeName(flags.scheme),
+               static_cast<long long>(source.produced()),
                m.ServedRequests(), m.ServedOnline(), m.ServedOffline(),
                static_cast<long long>(m.serve.shed), latency.Percentile(0.50),
                latency.Percentile(0.99),
@@ -388,11 +233,11 @@ int main(int argc, char** argv) {
   if (!report_path.empty()) {
     RunReportContext ctx;
     ctx.experiment = "mtshare_serve";
-    ctx.scheme = SchemeName(*scheme);
-    ctx.window = peak ? "peak" : "nonpeak";
-    ctx.num_taxis = num_taxis;
+    ctx.scheme = SchemeName(flags.scheme);
+    ctx.window = flags.peak ? "peak" : "nonpeak";
+    ctx.num_taxis = flags.num_taxis;
     ctx.num_requests = static_cast<int32_t>(source.produced());
-    ctx.seed = seed;
+    ctx.seed = flags.seed;
     Status written = WriteRunReport(report_path, ctx, m);
     if (!written.ok()) {
       std::fprintf(stderr, "report: %s\n", written.ToString().c_str());

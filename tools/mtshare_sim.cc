@@ -40,21 +40,17 @@
 //
 // Any other flag is rejected (exit 2), so a misspelt or retired flag never
 // silently runs the default configuration.
-#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <string>
 
-#include "common/string_util.h"
+#include "cli_flags.h"
 #include "core/mtshare_system.h"
 #include "demand/trip_io.h"
-#include "graph/graph_generators.h"
-#include "graph/graph_io.h"
 #include "sim/run_report.h"
 
 using namespace mtshare;
+using namespace mtshare::cli;
 
 namespace {
 
@@ -65,189 +61,37 @@ const char* const kFlags[] = {
     "batch-window-ms", "max-queue", "save-requests", "per-request", "report",
 };
 
-bool KnownFlag(const std::string& key) {
-  for (const char* flag : kFlags) {
-    if (key == flag) return true;
-  }
-  return false;
-}
-
-/// Parses --key=value flags. Positional arguments and unknown keys are
-/// errors, reported on stderr with the offending argument.
-std::map<std::string, std::string> ParseArgs(int argc, char** argv,
-                                             bool* ok) {
-  std::map<std::string, std::string> args;
-  *ok = true;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unrecognized argument: %s\n", arg.c_str());
-      *ok = false;
-      continue;
-    }
-    const size_t eq = arg.find('=');
-    const std::string key = arg.substr(2, eq == std::string::npos
-                                              ? std::string::npos
-                                              : eq - 2);
-    if (!KnownFlag(key)) {
-      std::fprintf(stderr, "unknown flag: --%s\n", key.c_str());
-      *ok = false;
-      continue;
-    }
-    args[key] = eq == std::string::npos ? "1" : arg.substr(eq + 1);
-  }
-  return args;
-}
-
-/// Strict numeric flag lookup: malformed values ("abc", "12x", "") are a
-/// hard error instead of silently becoming 0 via atoi-style parsing.
-double GetD(const std::map<std::string, std::string>& args,
-            const std::string& key, double fallback, bool* ok) {
-  auto it = args.find(key);
-  if (it == args.end()) return fallback;
-  double value = 0.0;
-  if (!ParseDouble(Trim(it->second), &value)) {
-    std::fprintf(stderr, "invalid numeric value for --%s: '%s'\n",
-                 key.c_str(), it->second.c_str());
-    *ok = false;
-    return fallback;
-  }
-  return value;
-}
-
-/// Strict non-negative integer flag (counts: taxis, requests, threads...).
-int32_t GetCount(const std::map<std::string, std::string>& args,
-                 const std::string& key, int32_t fallback, bool* ok) {
-  auto it = args.find(key);
-  if (it == args.end()) return fallback;
-  int64_t value = 0;
-  if (!ParseInt64(Trim(it->second), &value) || value < 0 ||
-      value > INT32_MAX) {
-    std::fprintf(stderr,
-                 "invalid value for --%s: '%s' (want an integer >= 0)\n",
-                 key.c_str(), it->second.c_str());
-    *ok = false;
-    return fallback;
-  }
-  return static_cast<int32_t>(value);
-}
-
-std::string GetS(const std::map<std::string, std::string>& args,
-                 const std::string& key, const std::string& fallback) {
-  auto it = args.find(key);
-  return it == args.end() ? fallback : it->second;
-}
-
-/// Strict unsigned 64-bit flag (RNG seeds). A double-based parse would
-/// silently round seeds above 2^53 and make negative inputs UB on the
-/// cast; ParseUint64 keeps full precision up to UINT64_MAX and rejects
-/// signs and garbage outright.
-uint64_t GetU64(const std::map<std::string, std::string>& args,
-                const std::string& key, uint64_t fallback, bool* ok) {
-  auto it = args.find(key);
-  if (it == args.end()) return fallback;
-  uint64_t value = 0;
-  if (!ParseUint64(Trim(it->second), &value)) {
-    std::fprintf(stderr,
-                 "invalid value for --%s: '%s' (want an unsigned integer)\n",
-                 key.c_str(), it->second.c_str());
-    *ok = false;
-    return fallback;
-  }
-  return value;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool ok = true;
-  auto args = ParseArgs(argc, argv, &ok);
+  auto args = ParseArgs(argc, argv, kFlags, &ok);
   if (!ok || args.count("help")) {
     std::fprintf(stderr, "see the header of tools/mtshare_sim.cc for usage\n");
     return args.count("help") ? 0 : 2;
   }
 
-  std::optional<SchemeKind> scheme = ParseScheme(GetS(args, "scheme", "mt-share"));
-  if (!scheme.has_value()) {
-    std::fprintf(stderr, "unknown --scheme\n");
-    return 2;
-  }
-  const bool peak = GetS(args, "window", "peak") == "peak";
-  const uint64_t seed = GetU64(args, "seed", 42, &ok);
-
-  // City: generated or loaded.
-  RoadNetwork network;
-  std::string network_file = GetS(args, "network", "");
-  GridCityOptions gopt;
-  gopt.rows = GetCount(args, "rows", 48, &ok);
-  gopt.cols = GetCount(args, "cols", 48, &ok);
-  gopt.seed = seed;
-
-  SystemConfig config;
-  config.kappa = GetCount(args, "kappa", 120, &ok);
-  config.kt = std::min<int32_t>(config.kappa, 20);
-  config.rho = GetD(args, "rho", 1.3, &ok);
-  config.taxi_capacity = GetCount(args, "capacity", 3, &ok);
-  config.matching.gamma_max_m = GetD(args, "gamma", 2500.0, &ok);
-  if (!ParseOracleBackend(GetS(args, "oracle", "auto"), &config.oracle.backend)) {
-    std::fprintf(stderr, "unknown --oracle (want auto|exact|lru|ch)\n");
-    return 2;
-  }
-  config.seed = seed;
+  SystemFlags flags;
+  if (!ReadSystemFlags(args, &flags, &ok)) return 2;
+  const bool peak = flags.peak;
+  const uint64_t seed = flags.seed;
+  const SchemeKind scheme = flags.scheme;
 
   ScenarioOptions sopt;
   sopt.t_begin = (peak ? 8 : 10) * 3600.0;
   sopt.t_end = sopt.t_begin + 3600.0;
   sopt.num_requests = GetCount(args, "requests", 1500, &ok);
   sopt.offline_fraction = GetD(args, "offline", peak ? 0.0 : 0.32, &ok);
-  sopt.rho = config.rho;
+  sopt.rho = flags.config.rho;
   sopt.seed = seed + 2;
-
-  const int32_t num_taxis = GetCount(args, "taxis", 150, &ok);
-  const int32_t num_threads = GetCount(args, "threads", 1, &ok);
-  const double batch_window_ms = GetD(args, "batch-window-ms", 0.0, &ok);
-  if (ok && batch_window_ms < 0.0) {
-    std::fprintf(stderr, "--batch-window-ms must be >= 0\n");
-    ok = false;
-  }
-  const int32_t max_queue = GetCount(args, "max-queue", 0, &ok);
   if (!ok) return 2;  // every malformed flag already printed its error
 
-  Status valid = config.Validate();
-  if (!valid.ok()) {
-    std::fprintf(stderr, "bad configuration: %s\n", valid.ToString().c_str());
-    return 2;
-  }
+  RoadNetwork network;
+  if (!LoadCity(flags, &network)) return 1;
+  Scenario scenario = MakeCliScenario(network, flags, sopt);
 
-  if (!network_file.empty()) {
-    Result<RoadNetwork> loaded = LoadEdgeList(network_file);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "failed to load network: %s\n",
-                   loaded.status().ToString().c_str());
-      return 1;
-    }
-    network = std::move(loaded).value();
-    network = ExtractLargestScc(network);
-  } else {
-    network = MakeGridCity(gopt);
-  }
-
-  DemandModelOptions dopt;
-  dopt.day = peak ? DayType::kWorkday : DayType::kWeekend;
-  dopt.seed = seed + 1;
-  DemandModel demand(network, dopt);
-  // Scenario generation issues scattered point queries; don't pay CH
-  // preprocessing for them (every backend returns identical costs anyway).
-  OracleOptions scratch;
-  if (network.num_vertices() > scratch.max_exact_vertices) {
-    scratch.backend = OracleBackend::kLru;
-  }
-  DistanceOracle oracle(network, scratch);
-
-  Scenario scenario = MakeScenario(network, demand, oracle, sopt);
-
-  auto system =
-      MTShareSystem::Create(network, scenario.HistoricalOdPairs(), config);
+  auto system = MTShareSystem::Create(network, scenario.HistoricalOdPairs(),
+                                      flags.config);
   if (!system.ok()) {
     std::fprintf(stderr, "system: %s\n", system.status().ToString().c_str());
     return 2;
@@ -263,13 +107,13 @@ int main(int argc, char** argv) {
   }
 
   ScenarioSpec spec;
-  spec.scheme = *scheme;
+  spec.scheme = scheme;
   spec.requests = &scenario.requests;
-  spec.num_taxis = num_taxis;
+  spec.num_taxis = flags.num_taxis;
   spec.fleet_seed = seed + 3;
-  spec.num_threads = num_threads;
-  spec.batch_window_ms = batch_window_ms;
-  spec.max_queue = max_queue;
+  spec.num_threads = flags.num_threads;
+  spec.batch_window_ms = flags.batch_window_ms;
+  spec.max_queue = flags.max_queue;
   Result<Metrics> run = system.value()->RunScenario(spec);
   if (!run.ok()) {
     std::fprintf(stderr, "run: %s\n", run.status().ToString().c_str());
@@ -278,7 +122,7 @@ int main(int argc, char** argv) {
   Metrics m = std::move(run).value();
 
   std::printf("scheme=%s window=%s taxis=%d requests=%zu offline=%d\n",
-              SchemeName(*scheme), peak ? "peak" : "nonpeak", spec.num_taxis,
+              SchemeName(scheme), peak ? "peak" : "nonpeak", spec.num_taxis,
               scenario.requests.size(), scenario.CountOffline());
   std::printf("served=%d (online=%d offline=%d)\n", m.ServedRequests(),
               m.ServedOnline(), m.ServedOffline());
@@ -300,7 +144,7 @@ int main(int argc, char** argv) {
   if (!report_path.empty()) {
     RunReportContext ctx;
     ctx.experiment = "mtshare_sim";
-    ctx.scheme = SchemeName(*scheme);
+    ctx.scheme = SchemeName(scheme);
     ctx.window = peak ? "peak" : "nonpeak";
     ctx.num_taxis = spec.num_taxis;
     ctx.num_requests = static_cast<int32_t>(scenario.requests.size());

@@ -15,7 +15,11 @@ if(NOT EXISTS "${REPORT_PATH}")
   message(FATAL_ERROR "report file was not written: ${REPORT_PATH}")
 endif()
 file(READ "${REPORT_PATH}" report)
-# Keys through schema_version 7 (the decision digest).
+if(NOT report MATCHES "\"schema_version\": *8[,\n}]")
+  message(FATAL_ERROR "report is not schema_version 8:\n${report}")
+endif()
+# Keys through schema_version 8 (7 added the decision digest; 8 removed
+# keys only).
 foreach(key "schema_version" "decision_digest" "response_ms" "p95" "phases"
         "dispatch_total_ms" "routing" "batch_queries" "settled_vertices"
         "lb_pruned" "fallback_queries" "serve" "batch_window_ms" "admitted"

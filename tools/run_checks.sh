@@ -7,7 +7,7 @@
 #      AddressSanitizer + LeakSanitizer
 #   4. smoke-run mtshare_sim --report on the default backend and on
 #      --oracle=ch (whose candidate path is the bucket sweep) and check the
-#      schema-7 report, and smoke BM_EngineAdvance
+#      schema-8 report, and smoke BM_EngineAdvance
 #   5. serve smoke: pipe a --save-requests log through mtshare_serve and
 #      check the decision stream plus the schema-5 "serve" block
 #   6. (opt-in) scale smoke: the `scale`-labelled ctest tier at reduced
@@ -57,14 +57,13 @@ trap 'rm -f "$report"' EXIT
 # candidate scan.
 build/tools/mtshare_sim --scheme=mt-share --rows=12 --cols=12 \
   --taxis=15 --requests=80 --report="$report" >/dev/null
-grep -q '"schema_version": 7' "$report"
+grep -q '"schema_version": 8' "$report"
 grep -Eq '"decision_digest": "[0-9a-f]{16}"' "$report"
 grep -q '"dispatch_total_ms"' "$report"
 grep -q '"batch_queries"' "$report"
 grep -q '"backend": "exact"' "$report"
 grep -q '"candidate_search": "index"' "$report"
 grep -q '"heap_pops"' "$report"
-grep -q '"lazy_syncs"' "$report"
 grep -q '"arcs_stepped"' "$report"
 grep -Eq '"slots_screened": [1-9]' "$report"
 grep -q '"fallback_queries": 0' "$report"
