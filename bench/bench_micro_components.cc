@@ -17,6 +17,7 @@
 #include "matching/no_sharing.h"
 #include "matching/taxi_index.h"
 #include "mobility/mobility_clustering.h"
+#include "mobility/transition_model.h"
 #include "partition/bipartite_partitioner.h"
 #include "routing/one_to_many.h"
 #include "sched/route_planner.h"
@@ -422,6 +423,45 @@ void BM_KMeansGeo(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KMeansGeo)->Arg(20)->Arg(60);
+
+// The transition pass of bipartite partitioning: per-vertex destination
+// distributions over 120 geo clusters (dim 120), clustered into k_t = 20.
+// Vertices that saw no trip carry the same global prior, as in the
+// partitioner. Counters report distances per row and pass.
+void BM_KMeansTransitionRows(benchmark::State& state) {
+  const int32_t n = Net().num_vertices();
+  const int32_t groups = 120;
+  std::vector<double> coords;
+  coords.reserve(size_t(n) * 2);
+  for (VertexId v = 0; v < n; ++v) {
+    coords.push_back(Net().coord(v).x);
+    coords.push_back(Net().coord(v).y);
+  }
+  KMeansOptions geo;
+  geo.k = groups;
+  Rng rng(23);
+  const std::vector<int32_t> group = KMeans(coords, 2, geo, rng).assignment;
+  std::vector<OdPair> trips;
+  for (int i = 0; i < 4 * n; ++i) {
+    VertexId a = VertexId(rng.NextInt(0, n * 2 / 3));
+    VertexId b = VertexId(rng.NextInt(0, n - 1));
+    if (a != b) trips.emplace_back(a, b);
+  }
+  const TransitionModel model =
+      TransitionModel::Build(n, groups, group, trips);
+  KMeansOptions opt;
+  opt.k = 20;
+  KMeansResult last;
+  for (auto _ : state) {
+    Rng seed(29);
+    last = KMeans(model.rows(), groups, opt, seed);
+    benchmark::DoNotOptimize(last.inertia);
+  }
+  state.counters["iterations"] = last.iterations;
+  state.counters["evals_per_row_pass"] =
+      double(last.distance_evals) / n / (last.iterations + 1);
+}
+BENCHMARK(BM_KMeansTransitionRows)->Unit(benchmark::kMillisecond);
 
 void BM_BipartitePartition(benchmark::State& state) {
   Rng rng(13);

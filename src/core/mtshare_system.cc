@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "common/timer.h"
 #include "sim/request_source.h"
 
 namespace mtshare {
@@ -113,20 +114,31 @@ MTShareSystem::MTShareSystem(const RoadNetwork& network,
   }
   MTSHARE_CHECK(st.ok());
 
+  WallTimer timer;
   if (config.bipartite_partitioning) {
     BipartiteOptions opts;
     opts.kappa = config.kappa;
     opts.kt = config.kt;
     opts.seed = config.seed;
-    partitioning_ = BipartitePartition(network, historical_trips, opts);
+    BipartiteDiagnostics diag;
+    partitioning_ = BipartitePartition(network, historical_trips, opts, &diag);
+    setup_.kmeans_iterations = diag.kmeans_iterations;
+    setup_.kmeans_distance_evals = diag.kmeans_distance_evals;
   } else {
     partitioning_ = GridPartition(network, config.kappa);
   }
+  setup_.partition_s = timer.ElapsedSeconds();
+  timer.Restart();
   landmarks_ = std::make_unique<LandmarkGraph>(network, partitioning_);
+  setup_.landmarks_s = timer.ElapsedSeconds();
+  timer.Restart();
   transitions_ = TransitionModel::Build(
       network.num_vertices(), partitioning_.num_partitions(),
       partitioning_.vertex_partition, historical_trips);
+  setup_.transitions_s = timer.ElapsedSeconds();
+  timer.Restart();
   oracle_ = std::make_unique<DistanceOracle>(network, config.oracle);
+  setup_.oracle_build_s = timer.ElapsedSeconds();
 }
 
 std::unique_ptr<Dispatcher> MTShareSystem::MakeDispatcher(
@@ -235,6 +247,7 @@ Result<Metrics> MTShareSystem::RunScenario(const ScenarioSpec& spec) {
   metrics.routing.ch_bucket_queries = ch1.bucket_queries - ch0.bucket_queries;
   metrics.routing.ch_upward_settled = ch1.upward_settled - ch0.upward_settled;
   metrics.routing.ch_bucket_entries = ch1.bucket_entries - ch0.bucket_entries;
+  metrics.setup = setup_;
   return metrics;
 }
 

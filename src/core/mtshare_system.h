@@ -136,6 +136,10 @@ class MTShareSystem {
   /// Overrides the fleet capacity for subsequent runs.
   void set_taxi_capacity(int32_t capacity) { config_.taxi_capacity = capacity; }
 
+  /// Wall time of each set-up layer the constructor built, plus the
+  /// partitioning k-means work (copied into every run's Metrics::setup).
+  const SetupStats& setup_stats() const { return setup_; }
+
   /// Resident bytes of the shared mobility structures (partitioning +
   /// landmark graph + transition statistics) — part of the Table IV
   /// accounting.
@@ -148,6 +152,7 @@ class MTShareSystem {
   std::unique_ptr<LandmarkGraph> landmarks_;
   TransitionModel transitions_;
   std::unique_ptr<DistanceOracle> oracle_;
+  SetupStats setup_;
 };
 
 }  // namespace mtshare

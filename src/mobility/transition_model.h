@@ -41,6 +41,10 @@ class TransitionModel {
     return rows_.data() + static_cast<size_t>(v) * num_groups_;
   }
 
+  /// All rows, row-major num_vertices x num_groups (what bipartite
+  /// partitioning clusters, without a copy).
+  const std::vector<double>& rows() const { return rows_; }
+
   double Probability(VertexId v, int32_t group) const {
     return Row(v)[group];
   }

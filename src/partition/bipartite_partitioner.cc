@@ -36,19 +36,22 @@ double ChangeFraction(const std::vector<int32_t>& a,
   return static_cast<double>(diff) / static_cast<double>(a.size());
 }
 
-/// Geo k-means over the full vertex set (used for the initial kappa
-/// spatial clusters).
-std::vector<int32_t> GeoCluster(const RoadNetwork& network, int32_t k,
-                                Rng& rng) {
+/// Geo k-means over `vertices` with k clusters.
+KMeansResult GeoCluster(const RoadNetwork& network,
+                        const std::vector<VertexId>& vertices, int32_t k,
+                        Rng& rng, BipartiteDiagnostics* diag) {
   std::vector<double> coords;
-  coords.reserve(static_cast<size_t>(network.num_vertices()) * 2);
-  for (VertexId v = 0; v < network.num_vertices(); ++v) {
+  coords.reserve(vertices.size() * 2);
+  for (VertexId v : vertices) {
     coords.push_back(network.coord(v).x);
     coords.push_back(network.coord(v).y);
   }
   KMeansOptions opt;
   opt.k = k;
-  return KMeans(coords, 2, opt, rng).assignment;
+  KMeansResult geo = KMeans(coords, 2, opt, rng);
+  diag->kmeans_iterations += geo.iterations;
+  diag->kmeans_distance_evals += geo.distance_evals;
+  return geo;
 }
 
 }  // namespace
@@ -63,13 +66,16 @@ MapPartitioning BipartitePartition(const RoadNetwork& network,
   const int32_t n = network.num_vertices();
   Rng rng(options.seed);
 
+  BipartiteDiagnostics diag;
   // Initial spatial clusters: plain geo k-means with k = kappa.
-  std::vector<int32_t> spatial = GeoCluster(network, options.kappa, rng);
+  std::vector<VertexId> all_vertices(n);
+  for (VertexId v = 0; v < n; ++v) all_vertices[v] = v;
+  std::vector<int32_t> spatial =
+      GeoCluster(network, all_vertices, options.kappa, rng, &diag).assignment;
   int32_t num_spatial =
       1 + *std::max_element(spatial.begin(), spatial.end());
   std::vector<int32_t> canonical = CanonicalizeLabels(spatial);
 
-  BipartiteDiagnostics diag;
   for (int32_t outer = 0; outer < options.max_outer_iterations; ++outer) {
     diag.outer_iterations = outer + 1;
 
@@ -78,14 +84,12 @@ MapPartitioning BipartitePartition(const RoadNetwork& network,
         n, num_spatial, spatial, historical_trips, options.laplace_alpha);
 
     // Step 2: k-means over the transition vectors -> kt transition clusters.
-    std::vector<double> rows(static_cast<size_t>(n) * num_spatial);
-    for (VertexId v = 0; v < n; ++v) {
-      std::copy_n(transitions.Row(v), num_spatial,
-                  rows.begin() + static_cast<size_t>(v) * num_spatial);
-    }
     KMeansOptions topt;
     topt.k = options.kt;
-    KMeansResult trans = KMeans(rows, num_spatial, topt, rng);
+    KMeansResult trans =
+        KMeans(transitions.rows(), num_spatial, topt, rng);
+    diag.kmeans_iterations += trans.iterations;
+    diag.kmeans_distance_evals += trans.distance_evals;
 
     // Step 3: geo-cluster each transition cluster into
     // floor(n_c * kappa / N + 1/2) spatial clusters.
@@ -101,15 +105,7 @@ MapPartitioning BipartitePartition(const RoadNetwork& network,
           1, static_cast<int32_t>(std::floor(
                  static_cast<double>(members.size()) * options.kappa / n +
                  0.5)));
-      std::vector<double> coords;
-      coords.reserve(members.size() * 2);
-      for (VertexId v : members) {
-        coords.push_back(network.coord(v).x);
-        coords.push_back(network.coord(v).y);
-      }
-      KMeansOptions gopt;
-      gopt.k = sub_k;
-      KMeansResult geo = KMeans(coords, 2, gopt, rng);
+      KMeansResult geo = GeoCluster(network, members, sub_k, rng, &diag);
       for (size_t i = 0; i < members.size(); ++i) {
         new_spatial[members[i]] = next_label + geo.assignment[i];
       }

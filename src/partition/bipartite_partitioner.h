@@ -30,6 +30,10 @@ struct BipartiteDiagnostics {
   /// Fraction of vertices whose (canonicalized) label changed in the last
   /// completed iteration.
   double last_change_fraction = 0.0;
+  /// Work of every k-means call (geo and transition passes): Lloyd
+  /// iterations, and row-to-centroid distances evaluated.
+  int64_t kmeans_iterations = 0;
+  int64_t kmeans_distance_evals = 0;
 };
 
 /// Runs bipartite map partitioning: k-means on vertex coordinates seeds

@@ -69,6 +69,28 @@ struct ServeStats {
   int64_t queue_depth = 0;
 };
 
+/// Set-up cost of the system a run ran on (MTShareSystem construction),
+/// layer by layer — the run report's schema-9 "setup" block. Set-up is
+/// paid once per system, so every run of one system reports the same
+/// values; all zero when the run bypassed MTShareSystem.
+struct SetupStats {
+  /// Map partitioning (bipartite k-means, or the grid fallback).
+  double partition_s = 0.0;
+  double landmarks_s = 0.0;
+  double transitions_s = 0.0;
+  /// Distance-oracle build (the CH preprocessing on that backend).
+  double oracle_build_s = 0.0;
+  /// k-means work inside bipartite partitioning: Lloyd iterations and
+  /// row-to-centroid distances evaluated, over every geo and transition
+  /// pass (0 with grid partitioning).
+  int64_t kmeans_iterations = 0;
+  int64_t kmeans_distance_evals = 0;
+
+  double total_s() const {
+    return partition_s + landmarks_s + transitions_s + oracle_build_s;
+  }
+};
+
 /// Aggregated results of one simulation run — the quantities the paper's
 /// evaluation section reports.
 class Metrics {
@@ -148,6 +170,8 @@ class Metrics {
   EngineStats engine;
   /// Streaming-ingest counters (batch windows, admission, backpressure).
   ServeStats serve;
+  /// Set-up layer times of the system the run ran on.
+  SetupStats setup;
 
  private:
   std::vector<RequestRecord> records_;

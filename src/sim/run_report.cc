@@ -133,11 +133,11 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
                           int indent) {
   JsonWriter w(indent);
   w.BeginObject();
-  // schema_version 8 drops the engine block's lazy-sync and boundary
-  // counters and phases.enabled: the engine has one eager ingest loop
-  // (serve.batches counts its flushes) and phase timing is always on.
+  // schema_version 9 adds the setup block (the system's set-up layer
+  // times); 8 dropped the engine block's lazy-sync and boundary counters
+  // and phases.enabled.
   w.Key("schema_version");
-  w.Int(8);
+  w.Int(9);
   w.Key("experiment");
   w.String(context.experiment);
   w.Key("scheme");
@@ -289,6 +289,27 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
   w.Int(m.serve.shed);
   w.Key("queue_depth");
   w.Int(m.serve.queue_depth);
+  w.EndObject();
+
+  // schema_version 9 adds the setup block: wall time of each layer the
+  // system built before its first run, and the partitioning k-means work.
+  // total_s is their sum; it excludes only argument validation.
+  w.Key("setup");
+  w.BeginObject();
+  w.Key("partition_s");
+  w.Double(m.setup.partition_s);
+  w.Key("landmarks_s");
+  w.Double(m.setup.landmarks_s);
+  w.Key("transitions_s");
+  w.Double(m.setup.transitions_s);
+  w.Key("oracle_build_s");
+  w.Double(m.setup.oracle_build_s);
+  w.Key("total_s");
+  w.Double(m.setup.total_s());
+  w.Key("kmeans_iterations");
+  w.Int(m.setup.kmeans_iterations);
+  w.Key("kmeans_distance_evals");
+  w.Int(m.setup.kmeans_distance_evals);
   w.EndObject();
 
   w.Key("index_memory_bytes");

@@ -40,12 +40,12 @@ bool HasKey(const std::string& json, const std::string& key) {
 }
 
 void ValidateReportSchema(const std::string& json) {
-  EXPECT_EQ(NumberAfter(json, "", "schema_version"), 8.0);
+  EXPECT_EQ(NumberAfter(json, "", "schema_version"), 9.0);
   for (const char* key :
        {"experiment", "scheme", "window", "num_taxis", "num_requests",
         "seed", "decision_digest", "requests", "response_ms", "waiting_min",
         "detour_min", "candidates", "phases", "oracle", "routing", "engine",
-        "serve", "index_memory_bytes", "total_driver_income",
+        "serve", "setup", "index_memory_bytes", "total_driver_income",
         "execution_seconds"}) {
     EXPECT_TRUE(HasKey(json, key)) << "missing top-level key " << key;
   }
@@ -101,6 +101,19 @@ void ValidateReportSchema(const std::string& json) {
                           "queue_depth"}) {
     EXPECT_GE(NumberAfter(json, "serve", key), 0.0) << key;
   }
+
+  // Set-up layer times (added in schema_version 9): non-negative, and
+  // total_s is their sum.
+  double setup_sum = 0.0;
+  for (const char* key : {"partition_s", "landmarks_s", "transitions_s",
+                          "oracle_build_s"}) {
+    EXPECT_GE(NumberAfter(json, "setup", key), 0.0) << key;
+    setup_sum += NumberAfter(json, "setup", key);
+  }
+  EXPECT_NEAR(NumberAfter(json, "setup", "total_s"), setup_sum,
+              1e-5 * (1.0 + setup_sum));
+  EXPECT_GE(NumberAfter(json, "setup", "kmeans_iterations"), 0.0);
+  EXPECT_GE(NumberAfter(json, "setup", "kmeans_distance_evals"), 0.0);
 
   // Percentiles must be monotone within every distribution.
   for (const char* dist :
@@ -220,6 +233,13 @@ TEST_F(RunReportTest, SchemaIsValidForEveryScheme) {
     // heap and popped as the taxi moves.
     EXPECT_GT(NumberAfter(json, "engine", "heap_pops"), 0.0);
     EXPECT_GT(NumberAfter(json, "engine", "arcs_stepped"), 0.0);
+    // Every run carries its system's set-up block; bipartite partitioning
+    // ran k-means.
+    EXPECT_EQ(m.setup.partition_s, system_->setup_stats().partition_s);
+    EXPECT_GT(NumberAfter(json, "setup", "partition_s"), 0.0);
+    EXPECT_EQ(NumberAfter(json, "setup", "kmeans_iterations"),
+              static_cast<double>(system_->setup_stats().kmeans_iterations));
+    EXPECT_GT(NumberAfter(json, "setup", "kmeans_distance_evals"), 0.0);
   }
 }
 
@@ -295,6 +315,8 @@ TEST(MtshareSimCliTest, ReportFlagEmitsValidJson) {
   ValidateReportSchema(json);
   EXPECT_EQ(NumberAfter(json, "", "num_taxis"), 20.0);
   EXPECT_EQ(NumberAfter(json, "", "num_requests"), 120.0);
+  EXPECT_GT(NumberAfter(json, "setup", "partition_s"), 0.0);
+  EXPECT_GT(NumberAfter(json, "setup", "kmeans_iterations"), 0.0);
   std::remove(path.c_str());
 }
 

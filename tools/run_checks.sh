@@ -7,7 +7,8 @@
 #      AddressSanitizer + LeakSanitizer
 #   4. smoke-run mtshare_sim --report on the default backend and on
 #      --oracle=ch (whose candidate path is the bucket sweep) and check the
-#      schema-8 report, and smoke BM_EngineAdvance
+#      schema-9 report (setup block included), and smoke BM_EngineAdvance
+#      and BM_KMeansTransitionRows
 #   5. serve smoke: pipe a --save-requests log through mtshare_serve and
 #      check the decision stream plus the schema-5 "serve" block
 #   6. (opt-in) scale smoke: the `scale`-labelled ctest tier at reduced
@@ -57,7 +58,8 @@ trap 'rm -f "$report"' EXIT
 # candidate scan.
 build/tools/mtshare_sim --scheme=mt-share --rows=12 --cols=12 \
   --taxis=15 --requests=80 --report="$report" >/dev/null
-grep -q '"schema_version": 8' "$report"
+grep -q '"schema_version": 9' "$report"
+grep -Eq '"partition_s": [0-9.]*[1-9]' "$report"
 grep -Eq '"decision_digest": "[0-9a-f]{16}"' "$report"
 grep -q '"dispatch_total_ms"' "$report"
 grep -q '"batch_queries"' "$report"
@@ -81,10 +83,10 @@ grep -q '"ellipse_pruned"' "$report"
 grep -q '"ch_point_queries": 0' "$report"
 grep -q '"fallback_queries": 0' "$report"
 echo "report OK: $report"
-# One quick advancement micro-bench pass (small fleet) to catch bit-rot in
-# the bench harness itself.
+# One quick pass of the advancement (small fleet) and transition k-means
+# micro-benches to catch bit-rot in the bench harness itself.
 build/bench/bench_micro_components \
-  --benchmark_filter='BM_EngineAdvance/fleet:100$' \
+  --benchmark_filter='BM_EngineAdvance/fleet:100$|BM_KMeansTransitionRows' \
   --benchmark_min_time=0.01 >/dev/null
 
 echo "==> [5/6] serve smoke (log pipe + schema-5 serve block)"
