@@ -120,24 +120,16 @@ int main() {
   config.seed = seed;
 
   // Historical trips only; the evaluation stream is produced lazily below.
-  // MakeScenario with num_requests=0 never touches its oracle (historical
-  // trips come straight from the demand model), so a scratch LRU oracle —
-  // capped by lru_max_bytes on the big city — avoids paying for a second
-  // CH build.
+  // They are drawn as MakeScenario draws them (whole day, first draws of
+  // its seed), without the scratch oracle it would build and never query.
   DemandModelOptions dopt;
   dopt.day = DayType::kWorkday;
   dopt.seed = seed + 1;
   DemandModel demand(network, dopt);
-  OracleOptions scratch;
-  if (network.num_vertices() > scratch.max_exact_vertices) {
-    scratch.backend = OracleBackend::kLru;
-  }
-  DistanceOracle scratch_oracle(network, scratch);
-  ScenarioOptions hist;
-  hist.num_requests = 0;
-  hist.num_historical_trips = ScaleCi() ? 10000 : 40000;
-  hist.seed = seed + 2;
-  Scenario scenario = MakeScenario(network, demand, scratch_oracle, hist);
+  Scenario scenario;
+  Rng hist_rng(seed + 2);
+  scenario.historical_trips = demand.GenerateTrips(
+      0.0, 86400.0, ScaleCi() ? 10000 : 40000, hist_rng);
 
   const double t1 = NowSeconds();
   auto system =

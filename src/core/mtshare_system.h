@@ -101,7 +101,8 @@ class MTShareSystem {
       const RoadNetwork& network, const std::vector<OdPair>& historical_trips,
       const SystemConfig& config);
 
-  /// Builds the indexes. Dies on invalid config — prefer Create(), which
+  /// Builds the indexes; the contraction hierarchy on a second thread,
+  /// beside partitioning. Dies on invalid config — prefer Create(), which
   /// validates and reports instead.
   MTShareSystem(const RoadNetwork& network,
                 const std::vector<OdPair>& historical_trips,
@@ -136,8 +137,9 @@ class MTShareSystem {
   /// Overrides the fleet capacity for subsequent runs.
   void set_taxi_capacity(int32_t capacity) { config_.taxi_capacity = capacity; }
 
-  /// Wall time of each set-up layer the constructor built, plus the
-  /// partitioning k-means work (copied into every run's Metrics::setup).
+  /// Wall time of each set-up layer the constructor built and of the whole
+  /// construction, plus the partitioning k-means work (copied into every
+  /// run's Metrics::setup).
   const SetupStats& setup_stats() const { return setup_; }
 
   /// Resident bytes of the shared mobility structures (partitioning +

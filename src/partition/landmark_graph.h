@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "partition/map_partitioning.h"
-#include "routing/dijkstra.h"
+#include "routing/contraction_hierarchy.h"
 
 namespace mtshare {
 
@@ -16,9 +16,16 @@ namespace mtshare {
 /// (Algorithm 4 step 2).
 class LandmarkGraph {
  public:
-  /// Builds adjacency from crossing edges and the cost table with one
-  /// Dijkstra per landmark on the real network (kappa searches, done once;
-  /// the paper likewise precomputes landmark costs, Sec. V-A4).
+  /// Builds adjacency from crossing edges and the cost table from one
+  /// forward and one reverse PHAST row per landmark over `ch`, a hierarchy
+  /// of `network` (2 kappa sweeps, done once; the paper likewise
+  /// precomputes landmark costs, Sec. V-A4).
+  LandmarkGraph(const RoadNetwork& network,
+                const MapPartitioning& partitioning,
+                const ContractionHierarchy& ch);
+
+  /// Same, on a hierarchy built here with default options (for callers
+  /// that hold none).
   LandmarkGraph(const RoadNetwork& network,
                 const MapPartitioning& partitioning);
 

@@ -1,12 +1,11 @@
 #include "routing/contraction_hierarchy.h"
 
 #include <algorithm>
-#include <future>
+#include <functional>
 #include <queue>
 #include <utility>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 
 namespace mtshare {
@@ -174,39 +173,13 @@ class Contractor {
   void Run(std::vector<int32_t>& rank,
            std::vector<std::vector<CoreArc>>& up,
            std::vector<std::vector<CoreArc>>& down, int64_t& shortcut_count) {
-    // Initial priorities in parallel: each probe only reads the immutable
-    // initial core graph, so the pass is embarrassingly parallel and the
-    // values (hence the whole hierarchy) are thread-count independent.
-    std::vector<int64_t> priority(n_);
-    const int32_t threads = ThreadPool::DefaultThreads(options_.threads);
-    if (threads > 1 && n_ > 256) {
-      ThreadPool pool(threads);
-      const int32_t chunks = threads;
-      std::vector<std::future<void>> futures;
-      futures.reserve(chunks);
-      for (int32_t c = 0; c < chunks; ++c) {
-        VertexId begin = static_cast<VertexId>(int64_t(n_) * c / chunks);
-        VertexId end = static_cast<VertexId>(int64_t(n_) * (c + 1) / chunks);
-        futures.push_back(pool.Submit([this, begin, end, &priority] {
-          WitnessSearch witness(n_);
-          for (VertexId v = begin; v < end; ++v) {
-            priority[v] = Priority(v, witness);
-          }
-        }));
-      }
-      for (auto& f : futures) f.get();
-    } else {
-      WitnessSearch witness(n_);
-      for (VertexId v = 0; v < n_; ++v) priority[v] = Priority(v, witness);
-    }
-
+    WitnessSearch witness(n_);
     using QueueEntry = std::pair<int64_t, VertexId>;  // (priority, vertex)
     std::priority_queue<QueueEntry, std::vector<QueueEntry>,
                         std::greater<QueueEntry>>
         queue;
-    for (VertexId v = 0; v < n_; ++v) queue.push({priority[v], v});
+    for (VertexId v = 0; v < n_; ++v) queue.push({Priority(v, witness), v});
 
-    WitnessSearch witness(n_);
     std::vector<Shortcut> shortcuts;
     std::vector<uint8_t> contracted(n_, 0);
     int32_t next_rank = 0;
@@ -280,30 +253,81 @@ ContractionHierarchy ContractionHierarchy::Build(const RoadNetwork& network,
   }
 
   auto fill_csr = [n](const std::vector<std::vector<CoreArc>>& lists,
-                      std::vector<int32_t>& offsets,
-                      std::vector<SearchArc>& arcs) {
-    offsets.assign(n + 1, 0);
+                      SearchGraph& graph) {
+    graph.offsets.assign(n + 1, 0);
     for (VertexId v = 0; v < n; ++v) {
-      offsets[v + 1] = offsets[v] + static_cast<int32_t>(lists[v].size());
+      graph.offsets[v + 1] =
+          graph.offsets[v] + static_cast<int32_t>(lists[v].size());
     }
-    arcs.resize(offsets[n]);
+    graph.arcs.resize(graph.offsets[n]);
     for (VertexId v = 0; v < n; ++v) {
-      int32_t at = offsets[v];
+      int32_t at = graph.offsets[v];
       for (const CoreArc& arc : lists[v]) {
-        arcs[at++] = SearchArc{arc.head, arc.cost};
+        graph.arcs[at++] = SearchArc{arc.head, arc.cost};
       }
     }
   };
-  fill_csr(up, ch.up_offsets_, ch.up_arcs_);
-  fill_csr(down, ch.down_offsets_, ch.down_arcs_);
+  fill_csr(up, ch.up_);
+  fill_csr(down, ch.down_);
+  ch.by_rank_.resize(n);
+  for (VertexId v = 0; v < n; ++v) ch.by_rank_[ch.rank_[v]] = v;
   ch.stats_.preprocessing_ms = timer.ElapsedMillis();
   return ch;
 }
 
+std::vector<Seconds> ContractionHierarchy::RowFrom(VertexId source) const {
+  return Sweep(source, up_, down_);
+}
+
+std::vector<Seconds> ContractionHierarchy::RowTo(VertexId target) const {
+  return Sweep(target, down_, up_);
+}
+
+std::vector<Seconds> ContractionHierarchy::Sweep(
+    VertexId root, const SearchGraph& climb, const SearchGraph& pull) const {
+  MTSHARE_CHECK(root >= 0 && root < num_vertices());
+  std::vector<Seconds> dist(num_vertices(), kInfiniteCost);
+  // Upward search: plain Dijkstra over the climb arcs, run to exhaustion
+  // (no stall-on-demand), so dist holds the exact up-path cost of every
+  // vertex it reaches. Lazy deletion: stale heap entries are skipped.
+  struct Entry {
+    Seconds cost;
+    VertexId vertex;
+    bool operator>(const Entry& other) const { return cost > other.cost; }
+  };
+  std::vector<Entry> heap{{0.0, root}};
+  dist[root] = 0.0;
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<Entry>());
+    const Entry top = heap.back();
+    heap.pop_back();
+    if (top.cost > dist[top.vertex]) continue;
+    for (const SearchArc& arc : climb.Arcs(top.vertex)) {
+      const Seconds cand = top.cost + arc.cost;
+      if (cand < dist[arc.head]) {
+        dist[arc.head] = cand;
+        heap.push_back({cand, arc.head});
+        std::push_heap(heap.begin(), heap.end(), std::greater<Entry>());
+      }
+    }
+  }
+  // Downward pass in descending rank: every pull arc of v leads to a
+  // higher-ranked vertex, whose cost is already final.
+  for (auto it = by_rank_.rbegin(); it != by_rank_.rend(); ++it) {
+    const VertexId v = *it;
+    Seconds best = dist[v];
+    for (const SearchArc& arc : pull.Arcs(v)) {
+      best = std::min(best, dist[arc.head] + arc.cost);
+    }
+    dist[v] = best;
+  }
+  return dist;
+}
+
 size_t ContractionHierarchy::MemoryBytes() const {
-  return rank_.size() * sizeof(int32_t) +
-         (up_offsets_.size() + down_offsets_.size()) * sizeof(int32_t) +
-         (up_arcs_.size() + down_arcs_.size()) * sizeof(SearchArc);
+  return (rank_.size() + by_rank_.size()) * sizeof(int32_t) +
+         (up_.offsets.size() + down_.offsets.size()) * sizeof(int32_t) +
+         (up_.arcs.size() + down_.arcs.size()) * sizeof(SearchArc);
 }
 
 }  // namespace mtshare

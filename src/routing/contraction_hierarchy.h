@@ -17,11 +17,6 @@ struct ChOptions {
   /// witness only adds a redundant shortcut (correct but larger index),
   /// never a wrong distance.
   int32_t witness_settle_limit = 500;
-
-  /// Worker threads for the initial node-priority pass (0 = hardware
-  /// concurrency). The contraction loop itself is sequential — node order
-  /// and therefore the index are identical for every thread count.
-  int32_t threads = 0;
 };
 
 /// Counters describing one preprocessing run (surfaced through
@@ -46,9 +41,11 @@ struct ChBuildStats {
 ///
 /// Every s-t shortest distance is realized by some up-down path, so a
 /// bidirectional search that only ever goes upward in rank answers point
-/// queries after settling a few hundred vertices. Because arc costs live
-/// on the exact dyadic grid (see QuantizeTravelCost), shortcut sums are
-/// exact and CH distances are bit-identical to Dijkstra's.
+/// queries after settling a few hundred vertices, and one upward search
+/// plus one sweep in rank order yields a whole one-to-all row (RowFrom).
+/// Because arc costs live on the exact dyadic grid (see
+/// QuantizeTravelCost), shortcut sums are exact and CH distances are
+/// bit-identical to Dijkstra's.
 ///
 /// Immutable after Build(); safe to share across query threads.
 class ContractionHierarchy {
@@ -58,7 +55,7 @@ class ContractionHierarchy {
     Seconds cost = 0.0;
   };
 
-  /// Contracts the whole network. Deterministic for any thread count.
+  /// Contracts the whole network, sequentially and deterministically.
   static ContractionHierarchy Build(const RoadNetwork& network,
                                     const ChOptions& options = {});
 
@@ -68,14 +65,22 @@ class ContractionHierarchy {
   /// Contraction rank of v (0 = contracted first / least important).
   int32_t rank(VertexId v) const { return rank_[v]; }
 
-  std::span<const SearchArc> UpArcs(VertexId v) const {
-    return {up_arcs_.data() + up_offsets_[v],
-            up_arcs_.data() + up_offsets_[v + 1]};
-  }
+  std::span<const SearchArc> UpArcs(VertexId v) const { return up_.Arcs(v); }
   std::span<const SearchArc> DownArcs(VertexId v) const {
-    return {down_arcs_.data() + down_offsets_[v],
-            down_arcs_.data() + down_offsets_[v + 1]};
+    return down_.Arcs(v);
   }
+
+  /// Costs from `source` to every vertex (kInfiniteCost where unreachable)
+  /// by PHAST (Delling, Goldberg, Nowatzyk, Werneck, IPDPS 2011): a full
+  /// upward search from `source`, then one pass over every vertex in
+  /// descending rank that takes min(dist[t] + c) over its DownArcs. A
+  /// DownArcs tail outranks its head, so its cost is final when read.
+  /// Bit-identical to a Dijkstra row. Thread-safe (no shared scratch).
+  std::vector<Seconds> RowFrom(VertexId source) const;
+
+  /// Mirror sweep: costs from every vertex to `target` (an upward search
+  /// over DownArcs, then the descending pass over UpArcs).
+  std::vector<Seconds> RowTo(VertexId target) const;
 
   const ChBuildStats& stats() const { return stats_; }
 
@@ -83,11 +88,26 @@ class ContractionHierarchy {
   size_t MemoryBytes() const;
 
  private:
+  /// One CSR search graph: the arcs of v are arcs[offsets[v], offsets[v+1]).
+  struct SearchGraph {
+    std::vector<int32_t> offsets;
+    std::vector<SearchArc> arcs;
+
+    std::span<const SearchArc> Arcs(VertexId v) const {
+      return {arcs.data() + offsets[v], arcs.data() + offsets[v + 1]};
+    }
+  };
+
+  /// PHAST row rooted at `root`: upward search over `climb`, then the
+  /// descending-rank pass pulling over `pull`.
+  std::vector<Seconds> Sweep(VertexId root, const SearchGraph& climb,
+                             const SearchGraph& pull) const;
+
   std::vector<int32_t> rank_;
-  std::vector<int32_t> up_offsets_;
-  std::vector<SearchArc> up_arcs_;
-  std::vector<int32_t> down_offsets_;
-  std::vector<SearchArc> down_arcs_;
+  /// by_rank_[r] is the vertex of rank r (the sweep order, reversed).
+  std::vector<VertexId> by_rank_;
+  SearchGraph up_;
+  SearchGraph down_;
   ChBuildStats stats_;
 };
 

@@ -86,7 +86,7 @@ bool DijkstraSearch::Run(VertexId source, VertexId target,
       }
     }
   }
-  return target == kInvalidVertex;
+  return false;
 }
 
 Seconds DijkstraSearch::Cost(VertexId source, VertexId target,
@@ -111,27 +111,6 @@ Path DijkstraSearch::FindPath(VertexId source, VertexId target,
   }
   std::reverse(path.vertices.begin(), path.vertices.end());
   return path;
-}
-
-std::vector<Seconds> DijkstraSearch::CostsFrom(VertexId source) {
-  Run(source, kInvalidVertex, SearchOptions{});
-  std::vector<Seconds> out(network_.num_vertices(), kInfiniteCost);
-  for (VertexId v = 0; v < network_.num_vertices(); ++v) {
-    if (epoch_[v] == current_epoch_) out[v] = travel_[v];
-  }
-  return out;
-}
-
-std::vector<Seconds> DijkstraSearch::CostsToTargets(
-    VertexId source, const std::vector<VertexId>& targets) {
-  // Simple implementation: full one-to-all then gather. The settle-early
-  // optimization is unnecessary at the network sizes the library targets,
-  // and CostsFrom results are row-cached by DistanceOracle anyway.
-  std::vector<Seconds> all = CostsFrom(source);
-  std::vector<Seconds> out;
-  out.reserve(targets.size());
-  for (VertexId t : targets) out.push_back(all[t]);
-  return out;
 }
 
 }  // namespace mtshare

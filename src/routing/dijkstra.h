@@ -48,14 +48,6 @@ class DijkstraSearch {
   Path FindPath(VertexId source, VertexId target,
                 const SearchOptions& options = {});
 
-  /// One-to-all travel times (no mask/weights). O(E log V).
-  std::vector<Seconds> CostsFrom(VertexId source);
-
-  /// One-to-many: stops once all targets are settled. Returns costs aligned
-  /// with `targets` (kInfiniteCost for unreachable).
-  std::vector<Seconds> CostsToTargets(VertexId source,
-                                      const std::vector<VertexId>& targets);
-
   /// Number of vertices settled by the most recent query (test/bench hook
   /// showing how much partition filtering prunes the search space).
   int64_t last_settled_count() const { return last_settled_; }
@@ -71,8 +63,7 @@ class DijkstraSearch {
   };
 
   void Prepare();
-  /// Runs the search until `target` is settled (or queue exhaustion when
-  /// target == kInvalidVertex). Returns true if target was settled.
+  /// Runs the search until `target` is settled. Returns true if it was.
   bool Run(VertexId source, VertexId target, const SearchOptions& options);
 
   const RoadNetwork& network_;

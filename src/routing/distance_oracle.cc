@@ -1,6 +1,8 @@
 #include "routing/distance_oracle.h"
 
 #include <algorithm>
+#include <chrono>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -48,9 +50,17 @@ bool ParseOracleBackend(std::string_view name, OracleBackend* out) {
 
 DistanceOracle::DistanceOracle(const RoadNetwork& network,
                                const OracleOptions& options)
+    : DistanceOracle(network, options,
+                     ContractionHierarchy::Build(network, options.ch)) {}
+
+DistanceOracle::DistanceOracle(const RoadNetwork& network,
+                               const OracleOptions& options,
+                               ContractionHierarchy ch)
     : network_(network),
       options_(options),
-      backend_(ResolveBackend(network, options)) {
+      backend_(ResolveBackend(network, options)),
+      ch_(std::make_unique<const ContractionHierarchy>(std::move(ch))) {
+  MTSHARE_CHECK(ch_->num_vertices() == network.num_vertices());
   switch (backend_) {
     case OracleBackend::kExact:
       exact_rows_.resize(network.num_vertices());
@@ -78,9 +88,6 @@ DistanceOracle::DistanceOracle(const RoadNetwork& network,
       break;
     }
     case OracleBackend::kCh:
-      ch_ = std::make_unique<ContractionHierarchy>(
-          ContractionHierarchy::Build(network, options.ch));
-      ch_build_stats_ = ch_->stats();
       break;
     case OracleBackend::kAuto:
       MTSHARE_CHECK(false);  // ResolveBackend never returns kAuto
@@ -116,12 +123,15 @@ ChQueryStats DistanceOracle::ch_query_stats() const {
   return ch_stats_total_;
 }
 
-std::vector<Seconds> DistanceOracle::ComputeRow(VertexId source) const {
-  // A fresh engine per fill keeps the search state thread-local; fills are
-  // rare (once per row in exact mode, once per eviction cycle in LRU mode),
-  // so the O(V) buffer setup is noise next to the O(E log V) search.
-  DijkstraSearch dijkstra(network_);
-  return dijkstra.CostsFrom(source);
+std::vector<Seconds> DistanceOracle::ComputeRow(VertexId source) {
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<Seconds> row = ch_->RowFrom(source);
+  row_fill_ns_.fetch_add(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count(),
+      std::memory_order_relaxed);
+  return row;
 }
 
 const std::vector<Seconds>& DistanceOracle::ExactRow(VertexId source) {
@@ -234,29 +244,9 @@ void DistanceOracle::CostManyToMany(std::span<const VertexId> sources,
 }
 
 const std::vector<Seconds>& DistanceOracle::Row(VertexId source) {
-  MTSHARE_CHECK(exact_mode());  // LRU rows can be evicted; use RowPtr()
+  MTSHARE_CHECK(exact_mode());  // LRU rows can be evicted
   queries_.fetch_add(1, std::memory_order_relaxed);
   return ExactRow(source);
-}
-
-std::shared_ptr<const std::vector<Seconds>> DistanceOracle::RowPtr(
-    VertexId source) {
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  switch (backend_) {
-    case OracleBackend::kExact: {
-      // Alias the table-owned row; the table lives as long as the oracle.
-      const std::vector<Seconds>& row = ExactRow(source);
-      return std::shared_ptr<const std::vector<Seconds>>(
-          std::shared_ptr<const void>(), &row);
-    }
-    case OracleBackend::kCh:
-      // No row store exists in CH mode; pay one Dijkstra. Callers on the
-      // hot path use CostMany/CostManyToMany instead.
-      return std::make_shared<const std::vector<Seconds>>(ComputeRow(source));
-    default:
-      return cache_->GetOrCompute(
-          source, [this](VertexId v) { return ComputeRow(v); });
-  }
 }
 
 int64_t DistanceOracle::row_hits() const {
@@ -282,9 +272,10 @@ int64_t DistanceOracle::row_misses() const {
 }
 
 size_t DistanceOracle::MemoryBytes() const {
+  const size_t ch_bytes = ch_->MemoryBytes();
   switch (backend_) {
     case OracleBackend::kExact: {
-      size_t bytes = 0;
+      size_t bytes = ch_bytes;
       for (VertexId v = 0; v < network_.num_vertices(); ++v) {
         if (exact_filled_[v].load(std::memory_order_acquire)) {
           bytes += exact_rows_[v].size() * sizeof(Seconds);
@@ -294,7 +285,6 @@ size_t DistanceOracle::MemoryBytes() const {
     }
     case OracleBackend::kCh: {
       std::lock_guard<std::mutex> lock(ch_pool_mutex_);
-      size_t bytes = ch_->MemoryBytes();
       size_t engine_bytes = 0;
       for (const std::unique_ptr<ChQuery>& engine : ch_pool_) {
         engine_bytes = std::max(engine_bytes, engine->MemoryBytes());
@@ -303,12 +293,13 @@ size_t DistanceOracle::MemoryBytes() const {
       // footprint once per engine ever created. Engine buffers never shrink,
       // so the pool's maximum is the largest footprint reached; engines
       // checked out mid-call are missed (read from quiescent moments).
-      return bytes + ch_engines_created_ * engine_bytes;
+      return ch_bytes + ch_engines_created_ * engine_bytes;
     }
     default:
-      return cache_->MemoryBytes([](const std::vector<Seconds>& row) {
-        return row.size() * sizeof(Seconds);
-      });
+      return ch_bytes +
+             cache_->MemoryBytes([](const std::vector<Seconds>& row) {
+               return row.size() * sizeof(Seconds);
+             });
   }
 }
 

@@ -12,14 +12,15 @@
 #include "graph/road_network.h"
 #include "routing/ch_query.h"
 #include "routing/contraction_hierarchy.h"
-#include "routing/dijkstra.h"
 
 namespace mtshare {
 
 /// Which cost backend the oracle runs on. kAuto resolves by graph size:
 /// dense exact table when it fits (<= max_exact_vertices), contraction
-/// hierarchy otherwise. kLru keeps the pre-CH row-cache behavior for
-/// comparison runs and memory-constrained setups.
+/// hierarchy otherwise. kLru keeps a bounded row cache for
+/// memory-constrained setups. Every backend carries the contraction
+/// hierarchy: the table and the cache fill their rows from it by PHAST
+/// sweeps, the CH backend also answers point and bucket queries on it.
 enum class OracleBackend {
   kAuto = 0,
   kExact,
@@ -65,10 +66,11 @@ struct OracleOptions {
 
 /// Shortest-path *cost* oracle with O(1) amortized queries, mirroring the
 /// paper's assumption that "the shortest path query will take O(1) time"
-/// (Sec. IV-C). Three backends — exact dense table, LRU-cached Dijkstra
-/// rows, contraction hierarchy — all bit-identical in the costs they
-/// return (arc costs are dyadic, see QuantizeTravelCost). Costs only —
-/// use DijkstraSearch when the vertex sequence is needed.
+/// (Sec. IV-C). Three backends — exact dense table, LRU-cached rows,
+/// contraction hierarchy queries — all bit-identical in the costs they
+/// return (arc costs are dyadic, see QuantizeTravelCost). Table and cache
+/// rows are PHAST sweeps over the oracle's hierarchy. Costs only — use
+/// DijkstraSearch when the vertex sequence is needed.
 ///
 /// Thread-safe: the parallel matching engine issues Cost() queries from
 /// every pool worker concurrently. Exact mode fills each row exactly once
@@ -79,7 +81,13 @@ struct OracleOptions {
 /// atomics / pool-mutex-guarded sums and surface through Metrics.
 class DistanceOracle {
  public:
+  /// Builds the contraction hierarchy itself (options.ch).
   DistanceOracle(const RoadNetwork& network, const OracleOptions& options = {});
+
+  /// Runs on a hierarchy the caller built over `network` (MTShareSystem
+  /// builds it beside partitioning).
+  DistanceOracle(const RoadNetwork& network, const OracleOptions& options,
+                 ContractionHierarchy ch);
 
   /// Travel seconds from source to target (kInfiniteCost if unreachable).
   /// Safe to call from any thread.
@@ -104,15 +112,8 @@ class DistanceOracle {
                       std::vector<Seconds>* out);
 
   /// One-to-all row for `source`, exact mode only (rows are never evicted,
-  /// so the reference stays valid for the oracle's lifetime). Other modes
-  /// must use RowPtr(), whose shared_ptr owns the row.
+  /// so the reference stays valid for the oracle's lifetime).
   const std::vector<Seconds>& Row(VertexId source);
-
-  /// One-to-all row for `source`; works in every mode and is safe against
-  /// concurrent eviction. In CH mode each call computes a fresh Dijkstra
-  /// row (no row store exists), so batch callers should prefer
-  /// CostMany/CostManyToMany.
-  std::shared_ptr<const std::vector<Seconds>> RowPtr(VertexId source);
 
   /// Resolved backend (never kAuto).
   OracleBackend backend() const { return backend_; }
@@ -126,30 +127,35 @@ class DistanceOracle {
     return batch_queries_.load(std::memory_order_relaxed);
   }
   /// Row-cache traffic: a hit served a query from a resident row, a miss
-  /// paid a one-to-all Dijkstra. (Same-vertex queries short-circuit and
+  /// paid a one-to-all PHAST sweep. (Same-vertex queries short-circuit and
   /// count toward neither; always zero in CH mode.)
   int64_t row_hits() const;
   int64_t row_misses() const;
+  /// Wall-clock milliseconds spent filling rows, summed over threads.
+  double row_fill_ms() const {
+    return row_fill_ns_.load(std::memory_order_relaxed) * 1e-6;
+  }
 
   /// CH work counters, aggregated over the engine pool (all zero outside
   /// CH mode). Engines checked out mid-flight are not included, so read
   /// these from quiescent moments (dispatch-batch boundaries).
   ChQueryStats ch_query_stats() const;
-  /// CH preprocessing counters (zeros outside CH mode).
-  const ChBuildStats& ch_build_stats() const { return ch_build_stats_; }
+  /// CH preprocessing counters (every backend builds the hierarchy).
+  const ChBuildStats& ch_build_stats() const { return ch_->stats(); }
 
-  /// The contraction hierarchy backing this oracle, or nullptr outside CH
-  /// mode. Consumers (e.g. LastStopBuckets) may share it read-only; the
-  /// hierarchy is immutable after construction and outlives the oracle's
-  /// queries.
+  /// The contraction hierarchy backing this oracle, on every backend.
+  /// Consumers (e.g. LastStopBuckets) may share it read-only; the
+  /// hierarchy is immutable after construction and lives as long as the
+  /// oracle.
   const ContractionHierarchy* ch() const { return ch_.get(); }
 
-  /// Resident bytes of the table / cache / CH index incl. pooled query
+  /// Resident bytes of the CH index plus the table / cache / pooled query
   /// engines (Tab. IV memory accounting).
   size_t MemoryBytes() const;
 
  private:
-  std::vector<Seconds> ComputeRow(VertexId source) const;
+  /// One PHAST row, its time added to row_fill_ns_.
+  std::vector<Seconds> ComputeRow(VertexId source);
   const std::vector<Seconds>& ExactRow(VertexId source);
   std::unique_ptr<ChQuery> BorrowChEngine();
   void ReturnChEngine(std::unique_ptr<ChQuery> engine);
@@ -172,11 +178,11 @@ class DistanceOracle {
   /// LRU mode.
   std::unique_ptr<ShardedLruCache<VertexId, std::vector<Seconds>>> cache_;
 
-  /// CH mode: immutable hierarchy + pool of per-thread query engines.
-  /// Returned engines fold their counters into ch_stats_total_ (guarded by
-  /// ch_pool_mutex_) and reset, so aggregation is O(1) per return.
-  std::unique_ptr<ContractionHierarchy> ch_;
-  ChBuildStats ch_build_stats_;
+  /// Immutable hierarchy (every mode) + CH mode's pool of per-thread
+  /// query engines. Returned engines fold their counters into
+  /// ch_stats_total_ (guarded by ch_pool_mutex_) and reset, so aggregation
+  /// is O(1) per return.
+  std::unique_ptr<const ContractionHierarchy> ch_;
   mutable std::mutex ch_pool_mutex_;
   std::vector<std::unique_ptr<ChQuery>> ch_pool_;
   ChQueryStats ch_stats_total_;
@@ -184,6 +190,7 @@ class DistanceOracle {
 
   std::atomic<int64_t> queries_{0};
   std::atomic<int64_t> batch_queries_{0};
+  std::atomic<int64_t> row_fill_ns_{0};
 };
 
 }  // namespace mtshare

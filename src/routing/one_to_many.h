@@ -28,7 +28,11 @@ struct BatchRoutingStats {
   /// coverage analysis in InsertionCostBatch is stale).
   int64_t fallback_queries = 0;
 
-  // --- contraction-hierarchy backend (all zero when it is not active) ---
+  /// Wall-clock milliseconds the oracle spent filling table / cache rows
+  /// (PHAST sweeps), whichever phase first touched each row.
+  double row_fill_ms = 0.0;
+
+  // --- contraction hierarchy (built on every backend) ---
   /// Whether the oracle ran on the CH backend.
   bool ch_active = false;
   /// Shortcuts the preprocessing added on top of the road network.
@@ -36,6 +40,7 @@ struct BatchRoutingStats {
   /// Wall-clock milliseconds of CH preprocessing (paid once at system
   /// construction, not per run).
   double ch_preprocessing_ms = 0.0;
+  // --- CH query work (all zero unless the CH backend is active) ---
   /// Bidirectional point queries answered by CH engines.
   int64_t ch_point_queries = 0;
   /// Bucket-based one-to-many / many-to-many passes.
@@ -64,10 +69,10 @@ struct BatchRoutingStats {
 
 /// Truncated Dijkstra: one forward search from `source` that stops as soon
 /// as every target is settled. Values are bit-identical to the
-/// corresponding entries of DijkstraSearch::CostsFrom(source) — identical
-/// relaxation arithmetic, and a settled vertex's distance is final
-/// regardless of settle order (strictly positive arc costs), so stopping
-/// early cannot change any reported value.
+/// corresponding entries of the oracle's row for `source`: a settled
+/// vertex's distance is final regardless of settle order (strictly
+/// positive arc costs), and dyadic arc costs make every path sum exact, so
+/// stopping early cannot change any reported value.
 ///
 /// Not thread-safe; create one per thread.
 class OneToManySearch {

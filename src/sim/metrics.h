@@ -70,22 +70,27 @@ struct ServeStats {
 };
 
 /// Set-up cost of the system a run ran on (MTShareSystem construction),
-/// layer by layer — the run report's schema-9 "setup" block. Set-up is
-/// paid once per system, so every run of one system reports the same
-/// values; all zero when the run bypassed MTShareSystem.
+/// layer by layer — the run report's "setup" block. Set-up is paid once
+/// per system, so every run of one system reports the same values; all
+/// zero when the run bypassed MTShareSystem.
 struct SetupStats {
   /// Map partitioning (bipartite k-means, or the grid fallback).
   double partition_s = 0.0;
   double landmarks_s = 0.0;
   double transitions_s = 0.0;
-  /// Distance-oracle build (the CH preprocessing on that backend).
+  /// Distance-oracle build: the contraction hierarchy (every backend has
+  /// one) plus the oracle around it.
   double oracle_build_s = 0.0;
+  /// Wall time of the whole construction. The CH build runs beside
+  /// partitioning, so this is usually less than total_s().
+  double wall_s = 0.0;
   /// k-means work inside bipartite partitioning: Lloyd iterations and
   /// row-to-centroid distances evaluated, over every geo and transition
   /// pass (0 with grid partitioning).
   int64_t kmeans_iterations = 0;
   int64_t kmeans_distance_evals = 0;
 
+  /// Sum of the layer times (not wall time: layers overlap).
   double total_s() const {
     return partition_s + landmarks_s + transitions_s + oracle_build_s;
   }

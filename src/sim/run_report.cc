@@ -133,11 +133,11 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
                           int indent) {
   JsonWriter w(indent);
   w.BeginObject();
-  // schema_version 9 adds the setup block (the system's set-up layer
-  // times); 8 dropped the engine block's lazy-sync and boundary counters
-  // and phases.enabled.
+  // schema_version 10 adds setup.wall_s and routing.row_fill_ms; 9 added
+  // the setup block (the system's set-up layer times); 8 dropped the
+  // engine block's lazy-sync and boundary counters and phases.enabled.
   w.Key("schema_version");
-  w.Int(9);
+  w.Int(10);
   w.Key("experiment");
   w.String(context.experiment);
   w.Key("scheme");
@@ -218,8 +218,9 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
   // insertion legs, the truncated-sweep work they paid, lower-bound-
   // pruned candidates, and table misses that fell back to the oracle
   // (expected 0 — a nonzero value means the priming fan missed a leg
-  // shape). The ch_* counters describe the contraction-hierarchy backend
-  // (all zero when routing ran on the table/LRU backends);
+  // shape). row_fill_ms is the time spent filling table/cache rows. The
+  // ch_* counters describe the contraction hierarchy: its build on every
+  // backend, its query work only when the CH backend ran (ch_active);
   // ch_upward_settled is directly comparable to settled_vertices.
   w.Key("routing");
   w.BeginObject();
@@ -231,6 +232,8 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
   w.Int(m.routing.lb_pruned);
   w.Key("fallback_queries");
   w.Int(m.routing.fallback_queries);
+  w.Key("row_fill_ms");
+  w.Double(m.routing.row_fill_ms);
   w.Key("ch_active");
   w.Int(m.routing.ch_active ? 1 : 0);
   w.Key("ch_shortcuts");
@@ -293,7 +296,9 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
 
   // schema_version 9 adds the setup block: wall time of each layer the
   // system built before its first run, and the partitioning k-means work.
-  // total_s is their sum; it excludes only argument validation.
+  // total_s is their sum. The CH build (in oracle_build_s) overlaps
+  // partitioning, so wall_s (schema 10), the construction's wall time, is
+  // below total_s.
   w.Key("setup");
   w.BeginObject();
   w.Key("partition_s");
@@ -306,6 +311,8 @@ std::string RunReportJson(const RunReportContext& context, const Metrics& m,
   w.Double(m.setup.oracle_build_s);
   w.Key("total_s");
   w.Double(m.setup.total_s());
+  w.Key("wall_s");
+  w.Double(m.setup.wall_s);
   w.Key("kmeans_iterations");
   w.Int(m.setup.kmeans_iterations);
   w.Key("kmeans_distance_evals");

@@ -50,9 +50,6 @@ TEST(SystemConfigTest, RejectsBadOracleOptions) {
   c = SystemConfig{};
   c.oracle.ch.witness_settle_limit = 0;
   EXPECT_FALSE(c.Validate().ok());
-  c = SystemConfig{};
-  c.oracle.ch.threads = -2;
-  EXPECT_FALSE(c.Validate().ok());
 
   GridCityOptions gopt;
   gopt.rows = 6;
@@ -228,6 +225,35 @@ TEST_F(MTShareSystemTest, ChBackendRunsBitIdenticalToExact) {
   EXPECT_GT(ch.value().routing.ch_upward_settled, 0);
   EXPECT_FALSE(exact.value().routing.ch_active);
   EXPECT_EQ(exact.value().routing.ch_upward_settled, 0);
+}
+
+TEST_F(MTShareSystemTest, ExactBackendCarriesHierarchyButKeepsIndexScan) {
+  // The exact table fills its rows from a contraction hierarchy built
+  // beside partitioning, but candidate search stays the index scan: CH
+  // buckets are armed by the backend, not by the hierarchy's presence.
+  ASSERT_EQ(system_->oracle().backend(), OracleBackend::kExact);
+  ASSERT_NE(system_->oracle().ch(), nullptr);
+  std::vector<TaxiState> fleet;
+  EXPECT_FALSE(system_->MakeDispatcher(SchemeKind::kMtShare, &fleet)
+                   ->ChBucketSearchEnabled());
+
+  const Metrics m = Run(SchemeKind::kMtShare, 25);
+  EXPECT_EQ(m.oracle_backend, "exact");
+  EXPECT_FALSE(m.routing.ch_active);
+  EXPECT_FALSE(m.routing.bucket_search);
+  EXPECT_EQ(m.routing.ch_bucket_entries, 0);
+  EXPECT_EQ(m.routing.ch_point_queries, 0);
+  EXPECT_GT(m.routing.ch_shortcuts, 0);
+  EXPECT_GT(m.oracle_row_misses, 0);
+  EXPECT_GT(m.routing.row_fill_ms, 0.0);
+
+  // Set-up: the hierarchy build is charged to the oracle; the sequential
+  // layers fit inside the construction's wall time.
+  const SetupStats& setup = m.setup;
+  EXPECT_GT(setup.oracle_build_s, 0.0);
+  EXPECT_GE(setup.wall_s,
+            setup.partition_s + setup.landmarks_s + setup.transitions_s);
+  EXPECT_GE(setup.wall_s, setup.oracle_build_s);
 }
 
 TEST_F(MTShareSystemTest, GridPartitioningVariantRuns) {

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/random.h"
 #include "graph/graph_generators.h"
 #include "routing/dijkstra.h"
+#include "routing/reference_rows.h"
 
 namespace mtshare {
 namespace {
@@ -139,6 +143,64 @@ TEST_F(LandmarkGraphTest, LowerBoundAdmissibleOnOneWayNetwork) {
     EXPECT_LE(lg.LowerBound(a, b), search.Cost(a, b) + 1e-9)
         << a << "->" << b;
   }
+}
+
+// The landmark tables come from PHAST sweeps; they must hold exactly the
+// values Dijkstra rows give, so every cost and every bound is
+// bit-identical to a Dijkstra-built graph.
+void ExpectTablesMatchDijkstra(const RoadNetwork& net,
+                               const MapPartitioning& parts,
+                               const LandmarkGraph& lg) {
+  const int32_t k = parts.num_partitions();
+  std::vector<std::vector<Seconds>> from(k), to(k);
+  for (PartitionId p = 0; p < k; ++p) {
+    from[p] = testing::ReferenceRow(net, parts.landmarks[p]);
+    to[p] = testing::ReferenceRowTo(net, parts.landmarks[p]);
+  }
+  for (PartitionId p = 0; p < k; ++p) {
+    for (PartitionId q = 0; q < k; ++q) {
+      ASSERT_EQ(lg.LandmarkCost(p, q), from[p][parts.landmarks[q]])
+          << p << "->" << q;
+    }
+  }
+  for (VertexId a = 0; a < net.num_vertices(); ++a) {
+    const PartitionId pa = parts.PartitionOf(a);
+    for (VertexId b = 0; b < net.num_vertices(); ++b) {
+      const PartitionId pb = parts.PartitionOf(b);
+      const Seconds ll = from[pa][parts.landmarks[pb]];
+      const Seconds fa = from[pa][a];
+      const Seconds tb = to[pb][b];
+      Seconds lb = 0.0;
+      if (ll < kInfiniteCost && fa < kInfiniteCost && tb < kInfiniteCost) {
+        lb = std::max(0.0, ll - fa - tb);
+      }
+      ASSERT_EQ(lg.LowerBound(a, b), lb) << a << "->" << b;
+      const Seconds ta = to[pa][a];
+      const Seconds fb = from[pb][b];
+      const Seconds ub =
+          ll < kInfiniteCost && ta < kInfiniteCost && fb < kInfiniteCost
+              ? ta + ll + fb
+              : kInfiniteCost;
+      ASSERT_EQ(lg.UpperBound(a, b), ub) << a << "->" << b;
+    }
+  }
+}
+
+TEST_F(LandmarkGraphTest, TablesBitIdenticalToDijkstraRows) {
+  ExpectTablesMatchDijkstra(net_, partitioning_, *lg_);
+}
+
+TEST_F(LandmarkGraphTest, TablesBitIdenticalOnOneWayNetworkWithGivenHierarchy) {
+  GridCityOptions opt;
+  opt.rows = 12;
+  opt.cols = 12;
+  opt.one_way_fraction = 0.5;
+  opt.seed = 11;
+  RoadNetwork net = MakeGridCity(opt);
+  MapPartitioning parts = GridPartition(net, 9);
+  const ContractionHierarchy ch = ContractionHierarchy::Build(net);
+  LandmarkGraph lg(net, parts, ch);
+  ExpectTablesMatchDijkstra(net, parts, lg);
 }
 
 TEST_F(LandmarkGraphTest, MemoryAccounting) {

@@ -7,8 +7,8 @@
 #include "common/random.h"
 #include "graph/graph_generators.h"
 #include "routing/ch_query.h"
-#include "routing/dijkstra.h"
 #include "routing/distance_oracle.h"
+#include "routing/reference_rows.h"
 
 namespace mtshare {
 namespace {
@@ -21,9 +21,8 @@ namespace {
 void ExpectAllPairsMatch(const RoadNetwork& net, const ChOptions& copt) {
   ContractionHierarchy ch = ContractionHierarchy::Build(net, copt);
   ChQuery query(ch);
-  DijkstraSearch dijkstra(net);
   for (VertexId s = 0; s < net.num_vertices(); ++s) {
-    std::vector<Seconds> row = dijkstra.CostsFrom(s);
+    std::vector<Seconds> row = testing::ReferenceRow(net, s);
     for (VertexId t = 0; t < net.num_vertices(); ++t) {
       ASSERT_EQ(query.Cost(s, t), row[t]) << s << "->" << t;
     }
@@ -76,9 +75,8 @@ TEST(ContractionHierarchyTest, DisconnectedComponentsReportInfinity) {
 
   ContractionHierarchy ch = ContractionHierarchy::Build(net);
   ChQuery query(ch);
-  DijkstraSearch dijkstra(net);
   for (VertexId s = 0; s < net.num_vertices(); ++s) {
-    std::vector<Seconds> row = dijkstra.CostsFrom(s);
+    std::vector<Seconds> row = testing::ReferenceRow(net, s);
     for (VertexId t = 0; t < net.num_vertices(); ++t) {
       EXPECT_EQ(query.Cost(s, t), row[t]) << s << "->" << t;
     }
@@ -96,7 +94,6 @@ TEST(ContractionHierarchyTest, BucketQueriesMatchPointQueries) {
   RoadNetwork net = MakeGridCity(gopt);
   ContractionHierarchy ch = ContractionHierarchy::Build(net);
   ChQuery query(ch);
-  DijkstraSearch dijkstra(net);
 
   Rng rng(531);
   std::vector<VertexId> sources, targets;
@@ -115,7 +112,7 @@ TEST(ContractionHierarchyTest, BucketQueriesMatchPointQueries) {
 
     query.CostMany(sources[0], targets, &many);
     ASSERT_EQ(many.size(), targets.size());
-    std::vector<Seconds> row = dijkstra.CostsFrom(sources[0]);
+    std::vector<Seconds> row = testing::ReferenceRow(net, sources[0]);
     for (size_t i = 0; i < targets.size(); ++i) {
       EXPECT_EQ(many[i], row[targets[i]]) << "CostMany " << targets[i];
     }
@@ -123,7 +120,7 @@ TEST(ContractionHierarchyTest, BucketQueriesMatchPointQueries) {
     query.CostManyToMany(sources, targets, &matrix);
     ASSERT_EQ(matrix.size(), sources.size() * targets.size());
     for (size_t s = 0; s < sources.size(); ++s) {
-      std::vector<Seconds> srow = dijkstra.CostsFrom(sources[s]);
+      std::vector<Seconds> srow = testing::ReferenceRow(net, sources[s]);
       for (size_t t = 0; t < targets.size(); ++t) {
         EXPECT_EQ(matrix[s * targets.size() + t], srow[targets[t]])
             << sources[s] << "->" << targets[t];
@@ -132,28 +129,6 @@ TEST(ContractionHierarchyTest, BucketQueriesMatchPointQueries) {
   }
   EXPECT_GT(query.stats().bucket_queries, 0);
   EXPECT_GT(query.stats().bucket_entries, 0);
-}
-
-TEST(ContractionHierarchyTest, DeterministicAcrossThreadCounts) {
-  // The contraction order (and so the whole index) must not depend on the
-  // preprocessing thread count — only the initial priority pass is
-  // parallel, and it reads immutable state.
-  GridCityOptions gopt;
-  gopt.rows = 9;
-  gopt.cols = 9;
-  gopt.seed = 59;
-  RoadNetwork net = MakeGridCity(gopt);
-  ChOptions seq;
-  seq.threads = 1;
-  ChOptions par;
-  par.threads = 4;
-  ContractionHierarchy a = ContractionHierarchy::Build(net, seq);
-  ContractionHierarchy b = ContractionHierarchy::Build(net, par);
-  ASSERT_EQ(a.num_vertices(), b.num_vertices());
-  for (VertexId v = 0; v < net.num_vertices(); ++v) {
-    EXPECT_EQ(a.rank(v), b.rank(v)) << "vertex " << v;
-  }
-  EXPECT_EQ(a.stats().shortcuts_added, b.stats().shortcuts_added);
 }
 
 TEST(ContractionHierarchyTest, StatsAndMemoryArePopulated) {
@@ -240,21 +215,6 @@ TEST(DistanceOracleChBackendTest, ManyToManyCountsAndMemory) {
   EXPECT_EQ(oracle.batch_queries(), 1);
   // Pooled query engines are part of the oracle's resident footprint.
   EXPECT_GT(oracle.MemoryBytes(), idle_bytes);
-}
-
-TEST(DistanceOracleChBackendTest, RowPtrFallsBackToDijkstraRow) {
-  GridCityOptions gopt;
-  gopt.rows = 7;
-  gopt.cols = 7;
-  RoadNetwork net = MakeGridCity(gopt);
-  OracleOptions copt;
-  copt.backend = OracleBackend::kCh;
-  DistanceOracle oracle(net, copt);
-  DijkstraSearch dijkstra(net);
-  auto row = oracle.RowPtr(3);
-  std::vector<Seconds> want = dijkstra.CostsFrom(3);
-  ASSERT_EQ(row->size(), want.size());
-  for (size_t i = 0; i < want.size(); ++i) EXPECT_EQ((*row)[i], want[i]);
 }
 
 TEST(QuantizeTravelCostTest, SnapsToDyadicGridAndStaysPositive) {

@@ -66,30 +66,6 @@ TEST(DijkstraTest, RepeatedQueriesReuseBuffersCorrectly) {
   }
 }
 
-TEST(DijkstraTest, CostsFromMatchesPairwise) {
-  GridCityOptions opt;
-  opt.rows = 7;
-  opt.cols = 7;
-  RoadNetwork net = MakeGridCity(opt);
-  DijkstraSearch search(net);
-  auto row = search.CostsFrom(0);
-  ASSERT_EQ(row.size(), size_t(net.num_vertices()));
-  for (VertexId t = 0; t < net.num_vertices(); t += 7) {
-    EXPECT_DOUBLE_EQ(row[t], search.Cost(0, t));
-  }
-}
-
-TEST(DijkstraTest, CostsToTargetsAligned) {
-  RoadNetwork net = MakeTriangle();
-  DijkstraSearch search(net);
-  std::vector<VertexId> targets = {2, 0, 1};
-  auto costs = search.CostsToTargets(0, targets);
-  ASSERT_EQ(costs.size(), 3u);
-  EXPECT_DOUBLE_EQ(costs[0], 20.0);
-  EXPECT_DOUBLE_EQ(costs[1], 0.0);
-  EXPECT_DOUBLE_EQ(costs[2], 10.0);
-}
-
 TEST(DijkstraTest, AllowedMaskRestrictsExpansion) {
   RoadNetwork net = MakeTriangle();
   DijkstraSearch search(net);

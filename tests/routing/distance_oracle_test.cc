@@ -6,6 +6,8 @@
 
 #include "common/random.h"
 #include "graph/graph_generators.h"
+#include "routing/dijkstra.h"
+#include "routing/reference_rows.h"
 
 namespace mtshare {
 namespace {
@@ -23,6 +25,38 @@ TEST(DistanceOracleTest, ExactModeMatchesDijkstra) {
     VertexId s = VertexId(rng.NextInt(0, net.num_vertices() - 1));
     VertexId t = VertexId(rng.NextInt(0, net.num_vertices() - 1));
     EXPECT_DOUBLE_EQ(oracle.Cost(s, t), dijkstra.Cost(s, t));
+  }
+}
+
+TEST(DistanceOracleTest, EveryBackendCarriesTheHierarchy) {
+  // Table and cache rows are PHAST sweeps over the oracle's own hierarchy;
+  // each filled row must equal a Dijkstra row bit for bit, and the fill
+  // time is accounted.
+  GridCityOptions gopt;
+  gopt.rows = 9;
+  gopt.cols = 9;
+  gopt.one_way_fraction = 0.3;
+  gopt.seed = 97;
+  RoadNetwork net = MakeGridCity(gopt);
+  for (OracleBackend backend : {OracleBackend::kExact, OracleBackend::kLru}) {
+    OracleOptions oopt;
+    oopt.backend = backend;
+    DistanceOracle oracle(net, oopt);
+    ASSERT_NE(oracle.ch(), nullptr);
+    EXPECT_GT(oracle.ch_build_stats().shortcuts_added, 0);
+    EXPECT_EQ(oracle.row_fill_ms(), 0.0);
+    EXPECT_GE(oracle.MemoryBytes(), oracle.ch()->MemoryBytes());
+    std::vector<VertexId> all(net.num_vertices());
+    for (VertexId v = 0; v < net.num_vertices(); ++v) all[v] = v;
+    std::vector<Seconds> row;
+    for (VertexId s = 0; s < net.num_vertices(); s += 5) {
+      oracle.CostMany(s, all, &row);
+      EXPECT_EQ(row, testing::ReferenceRow(net, s))
+          << OracleBackendName(backend) << " row " << s;
+    }
+    EXPECT_GT(oracle.row_misses(), 0);
+    EXPECT_GT(oracle.row_fill_ms(), 0.0);
+    EXPECT_EQ(oracle.ch_query_stats().bucket_entries, 0);
   }
 }
 

@@ -7,7 +7,7 @@
 #include "common/random.h"
 #include "graph/graph_generators.h"
 #include "routing/contraction_hierarchy.h"
-#include "routing/dijkstra.h"
+#include "routing/reference_rows.h"
 
 namespace mtshare {
 namespace {
@@ -33,7 +33,6 @@ void Anchor(LastStopBuckets* buckets, const std::vector<VertexId>& anchors) {
 TEST(LastStopBucketsTest, SweepMatchesDijkstraForEveryOriginWithinBudget) {
   RoadNetwork net = TestCity(41);
   ContractionHierarchy ch = ContractionHierarchy::Build(net);
-  DijkstraSearch dijkstra(net);
 
   const int32_t kTaxis = 12;
   Rng rng(7);
@@ -47,7 +46,7 @@ TEST(LastStopBucketsTest, SweepMatchesDijkstraForEveryOriginWithinBudget) {
   // Directed ground truth anchor -> origin, per taxi.
   std::vector<std::vector<Seconds>> rows(kTaxis);
   for (TaxiId id = 0; id < kTaxis; ++id) {
-    rows[id] = dijkstra.CostsFrom(anchors[id]);
+    rows[id] = testing::ReferenceRow(net, anchors[id]);
   }
 
   const Seconds budget = 400.0;
@@ -80,7 +79,6 @@ TEST(LastStopBucketsTest, SweepMatchesDijkstraForEveryOriginWithinBudget) {
 TEST(LastStopBucketsTest, DirtyChurnKeepsStoreExact) {
   RoadNetwork net = TestCity(43);
   ContractionHierarchy ch = ContractionHierarchy::Build(net);
-  DijkstraSearch dijkstra(net);
 
   const int32_t kTaxis = 8;
   Rng rng(11);
@@ -106,7 +104,7 @@ TEST(LastStopBucketsTest, DirtyChurnKeepsStoreExact) {
     buckets.Sweep(origin, kInfiniteCost);
     for (TaxiId id = 0; id < kTaxis; ++id) {
       EXPECT_EQ(buckets.SweptDistance(id),
-                dijkstra.CostsFrom(anchors[id])[origin])
+                testing::ReferenceRow(net, anchors[id])[origin])
           << "round " << round << " taxi " << id;
       EXPECT_FALSE(buckets.dirty(id));
       EXPECT_EQ(buckets.anchor(id), anchors[id]);

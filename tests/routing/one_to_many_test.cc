@@ -8,8 +8,8 @@
 
 #include "common/random.h"
 #include "graph/graph_generators.h"
-#include "routing/dijkstra.h"
 #include "routing/distance_oracle.h"
+#include "routing/reference_rows.h"
 
 namespace mtshare {
 namespace {
@@ -29,7 +29,6 @@ RoadNetwork MakeNet(uint64_t seed, double one_way = 0.0) {
 TEST(OneToManySearchTest, MatchesFullDijkstraRowBitwise) {
   RoadNetwork net = MakeNet(21, /*one_way=*/0.3);
   OneToManySearch sweep(net);
-  DijkstraSearch dijkstra(net);
   Rng rng(211);
   std::vector<VertexId> targets;
   std::vector<Seconds> got;
@@ -44,7 +43,7 @@ TEST(OneToManySearchTest, MatchesFullDijkstraRowBitwise) {
     targets.push_back(targets[0]);  // duplicate target
     sweep.CostsTo(source, targets, &got);
     ASSERT_EQ(got.size(), targets.size());
-    std::vector<Seconds> row = dijkstra.CostsFrom(source);
+    std::vector<Seconds> row = testing::ReferenceRow(net, source);
     for (size_t i = 0; i < targets.size(); ++i) {
       EXPECT_EQ(got[i], row[targets[i]])  // exact, no tolerance
           << source << "->" << targets[i];

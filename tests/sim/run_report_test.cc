@@ -40,7 +40,7 @@ bool HasKey(const std::string& json, const std::string& key) {
 }
 
 void ValidateReportSchema(const std::string& json) {
-  EXPECT_EQ(NumberAfter(json, "", "schema_version"), 9.0);
+  EXPECT_EQ(NumberAfter(json, "", "schema_version"), 10.0);
   for (const char* key :
        {"experiment", "scheme", "window", "num_taxis", "num_requests",
         "seed", "decision_digest", "requests", "response_ms", "waiting_min",
@@ -58,6 +58,8 @@ void ValidateReportSchema(const std::string& json) {
     EXPECT_GE(NumberAfter(json, "routing", key), 0.0) << key;
   }
   EXPECT_EQ(NumberAfter(json, "routing", "fallback_queries"), 0.0);
+  // Row-fill time (added in schema_version 10).
+  EXPECT_GE(NumberAfter(json, "routing", "row_fill_ms"), 0.0);
 
   // Contraction-hierarchy counters (added in schema_version 3). Always
   // present; zero unless the run used the CH backend.
@@ -112,6 +114,13 @@ void ValidateReportSchema(const std::string& json) {
   }
   EXPECT_NEAR(NumberAfter(json, "setup", "total_s"), setup_sum,
               1e-5 * (1.0 + setup_sum));
+  // wall_s (added in schema_version 10): the CH build overlaps
+  // partitioning, but the other layers run one after another inside it.
+  const double sequential = NumberAfter(json, "setup", "partition_s") +
+                            NumberAfter(json, "setup", "landmarks_s") +
+                            NumberAfter(json, "setup", "transitions_s");
+  EXPECT_GE(NumberAfter(json, "setup", "wall_s"),
+            sequential - 1e-5 * (1.0 + sequential));
   EXPECT_GE(NumberAfter(json, "setup", "kmeans_iterations"), 0.0);
   EXPECT_GE(NumberAfter(json, "setup", "kmeans_distance_evals"), 0.0);
 
@@ -234,9 +243,11 @@ TEST_F(RunReportTest, SchemaIsValidForEveryScheme) {
     EXPECT_GT(NumberAfter(json, "engine", "heap_pops"), 0.0);
     EXPECT_GT(NumberAfter(json, "engine", "arcs_stepped"), 0.0);
     // Every run carries its system's set-up block; bipartite partitioning
-    // ran k-means.
+    // ran k-means, and the exact table's hierarchy took time to build.
     EXPECT_EQ(m.setup.partition_s, system_->setup_stats().partition_s);
     EXPECT_GT(NumberAfter(json, "setup", "partition_s"), 0.0);
+    EXPECT_GT(NumberAfter(json, "setup", "oracle_build_s"), 0.0);
+    EXPECT_GT(NumberAfter(json, "setup", "wall_s"), 0.0);
     EXPECT_EQ(NumberAfter(json, "setup", "kmeans_iterations"),
               static_cast<double>(system_->setup_stats().kmeans_iterations));
     EXPECT_GT(NumberAfter(json, "setup", "kmeans_distance_evals"), 0.0);
@@ -317,6 +328,9 @@ TEST(MtshareSimCliTest, ReportFlagEmitsValidJson) {
   EXPECT_EQ(NumberAfter(json, "", "num_requests"), 120.0);
   EXPECT_GT(NumberAfter(json, "setup", "partition_s"), 0.0);
   EXPECT_GT(NumberAfter(json, "setup", "kmeans_iterations"), 0.0);
+  // A fresh process fills its exact-table rows by PHAST sweeps.
+  EXPECT_GT(NumberAfter(json, "setup", "oracle_build_s"), 0.0);
+  EXPECT_GT(NumberAfter(json, "routing", "row_fill_ms"), 0.0);
   std::remove(path.c_str());
 }
 
@@ -377,6 +391,8 @@ TEST(MtshareSimCliTest, ChBucketsPathEmitsBucketCounters) {
   EXPECT_GT(NumberAfter(json, "routing", "bucket_candidates"), 0.0);
   EXPECT_GT(NumberAfter(json, "routing", "slots_screened"), 0.0);
   EXPECT_EQ(NumberAfter(json, "routing", "fallback_queries"), 0.0);
+  // Row-fill time (added in schema_version 10).
+  EXPECT_GE(NumberAfter(json, "routing", "row_fill_ms"), 0.0);
   std::remove(path.c_str());
 }
 

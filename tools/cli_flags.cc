@@ -161,11 +161,7 @@ Scenario MakeCliScenario(const RoadNetwork& network, const SystemFlags& flags,
   dopt.day = flags.peak ? DayType::kWorkday : DayType::kWeekend;
   dopt.seed = flags.seed + 1;
   DemandModel demand(network, dopt);
-  OracleOptions scratch;
-  if (network.num_vertices() > scratch.max_exact_vertices) {
-    scratch.backend = OracleBackend::kLru;
-  }
-  DistanceOracle oracle(network, scratch);
+  DistanceOracle oracle(network);
   return MakeScenario(network, demand, oracle, options);
 }
 

@@ -15,18 +15,18 @@ if(NOT EXISTS "${REPORT_PATH}")
   message(FATAL_ERROR "report file was not written: ${REPORT_PATH}")
 endif()
 file(READ "${REPORT_PATH}" report)
-if(NOT report MATCHES "\"schema_version\": *9[,\n}]")
-  message(FATAL_ERROR "report is not schema_version 9:\n${report}")
+if(NOT report MATCHES "\"schema_version\": *10[,\n}]")
+  message(FATAL_ERROR "report is not schema_version 10:\n${report}")
 endif()
-# Keys through schema_version 9 (7 added the decision digest; 8 removed
-# keys only; 9 added the setup block).
+# Keys through schema_version 10 (7 added the decision digest; 8 removed
+# keys only; 9 added the setup block; 10 its wall_s and row_fill_ms).
 foreach(key "schema_version" "decision_digest" "response_ms" "p95" "phases"
         "dispatch_total_ms" "routing" "batch_queries" "settled_vertices"
         "lb_pruned" "fallback_queries" "serve" "batch_window_ms" "admitted"
         "shed" "queue_depth" "candidate_search" "bucket_candidates"
         "bucket_maintenance_ms" "slots_screened" "ellipse_pruned" "setup"
         "partition_s" "landmarks_s" "transitions_s" "oracle_build_s"
-        "kmeans_distance_evals")
+        "wall_s" "kmeans_distance_evals" "row_fill_ms")
   if(NOT report MATCHES "\"${key}\"")
     message(FATAL_ERROR "report missing key '${key}':\n${report}")
   endif()
@@ -53,6 +53,14 @@ endif()
 # measurable time, so a zero means the timers are not wired through.
 if(NOT report MATCHES "\"partition_s\": *[0-9.]*[1-9]")
   message(FATAL_ERROR "report shows no set-up partition time:\n${report}")
+endif()
+# The exact table carries a contraction hierarchy too and fills its rows
+# from it: the build and the row fills take measurable time.
+if(NOT report MATCHES "\"oracle_build_s\": *[0-9.]*[1-9]")
+  message(FATAL_ERROR "exact run shows no oracle build time:\n${report}")
+endif()
+if(NOT report MATCHES "\"row_fill_ms\": *[0-9.]*[1-9]")
+  message(FATAL_ERROR "exact run shows no row fill time:\n${report}")
 endif()
 # The slot screen runs on every backend with landmarks, the exact one too.
 if(report MATCHES "\"slots_screened\": *0[,\n}]")

@@ -7,7 +7,7 @@
 #      AddressSanitizer + LeakSanitizer
 #   4. smoke-run mtshare_sim --report on the default backend and on
 #      --oracle=ch (whose candidate path is the bucket sweep) and check the
-#      schema-9 report (setup block included), and smoke BM_EngineAdvance
+#      schema-10 report (setup block included), and smoke BM_EngineAdvance
 #      and BM_KMeansTransitionRows
 #   5. serve smoke: pipe a --save-requests log through mtshare_serve and
 #      check the decision stream plus the schema-5 "serve" block
@@ -58,7 +58,7 @@ trap 'rm -f "$report"' EXIT
 # candidate scan.
 build/tools/mtshare_sim --scheme=mt-share --rows=12 --cols=12 \
   --taxis=15 --requests=80 --report="$report" >/dev/null
-grep -q '"schema_version": 9' "$report"
+grep -q '"schema_version": 10' "$report"
 grep -Eq '"partition_s": [0-9.]*[1-9]' "$report"
 grep -Eq '"decision_digest": "[0-9a-f]{16}"' "$report"
 grep -q '"dispatch_total_ms"' "$report"
